@@ -10,9 +10,35 @@ laptop while preserving the paper's qualitative comparisons; export
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 from repro.bench.harness import BenchmarkScale
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def baseline_path(experiment: str) -> Path:
+    """The committed ``BENCH_<experiment>.json`` file at the repository root."""
+    return REPO_ROOT / f"BENCH_{experiment}.json"
+
+
+def write_baseline(experiment: str, records, **extra) -> None:
+    """Rewrite ``BENCH_<experiment>.json`` with ``records``.
+
+    ``extra`` adds top-level keys next to ``schema``, ``experiment`` and
+    ``records`` (for example a budget the records are judged against).
+    """
+    payload = {
+        "schema": 1,
+        "experiment": experiment,
+        **extra,
+        "records": [record.as_row() for record in records],
+    }
+    baseline_path(experiment).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def bench_scale() -> BenchmarkScale:

@@ -30,9 +30,10 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from pathlib import Path
 
 import numpy as np
+
+from conftest import baseline_path, write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.core.problem import RankingProblem
@@ -41,7 +42,7 @@ from repro.data.relation import Relation
 from repro.loadgen.report import answer_digest
 from repro.service import QueryServer, QueryServerOptions
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
+BASELINE_PATH = baseline_path("cache")
 
 PARAMS = {
     "cell_size": 0.25,
@@ -142,15 +143,6 @@ def _record(leg: dict, operations: int) -> ExperimentRecord:
     )
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "cache",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_cache_policy_bench(benchmark):
     stream = _build_stream()
 
@@ -170,7 +162,7 @@ def test_cache_policy_bench(benchmark):
             f"capacity {CACHE_CAPACITY}",
         )
     )
-    _write_baseline(records)
+    write_baseline("cache", records)
 
     # -- answers are policy-independent, bitwise --------------------------
     assert set(lru["digests"]) == set(cost["digests"])

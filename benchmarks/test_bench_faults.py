@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from pathlib import Path
+
+from conftest import baseline_path, write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.chaos import FaultPlan, FaultSpec
@@ -43,7 +44,7 @@ from repro.loadgen import (
 )
 from repro.service import QueryServerOptions, RetryPolicy
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
+BASELINE_PATH = baseline_path("faults")
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -158,15 +159,6 @@ def _record(leg: str, report, stats, victim: int) -> ExperimentRecord:
     )
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "faults",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_fault_recovery_bench(benchmark, tmp_path):
     victim = _victim()
     chaos_plan = FaultPlan(
@@ -212,7 +204,7 @@ def test_fault_recovery_bench(benchmark, tmp_path):
             f"{KILL_AT_OP} of {n_operations} (warm vs cold restart)",
         )
     )
-    _write_baseline(records)
+    write_baseline("faults", records)
 
     # -- zero lost operations, every leg ---------------------------------------
     for report in (warmup, warm, cold):

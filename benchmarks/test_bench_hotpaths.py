@@ -24,28 +24,14 @@ leaks from one timed variant into the next.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from conftest import bench_scale
+from conftest import bench_scale, write_baseline
 
 from repro.bench.experiments import experiment_hotpaths
 from repro.bench.reporting import ascii_table
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
-
 
 def _by_experiment(records, name):
     return [record for record in records if record.experiment == name]
-
-
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "hotpaths",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_hotpaths(benchmark):
@@ -56,7 +42,7 @@ def test_hotpaths(benchmark):
     )
     print()
     print(ascii_table(records, title="Hot paths: warm-started B&B / cells / seeds"))
-    _write_baseline(records)
+    write_baseline("hotpaths", records)
 
     # -- warm-started branch-and-bound on the fig3jkl workload ---------------
     warmstart = _by_experiment(records, "hotpaths_warmstart")

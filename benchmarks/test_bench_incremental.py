@@ -7,8 +7,8 @@ measured numbers; CI uploads the file as an artifact, and the committed copy
 is the baseline snapshot from the container the numbers were first taken on.
 
 The workload is an interactive edit chain with a mid-chain undo
-(``session.rewind``), solved three ways -- stateless cold, exact-parity
-incremental session, aggressive (warm-started) session.  Assertions:
+(``session.rewind``), solved two ways -- stateless cold and an incremental
+session.  Assertions:
 
 * **parity** -- every incremental solve returns bitwise-identically what the
   cold solve of the same visited state returns (the session is an
@@ -20,33 +20,14 @@ incremental session, aggressive (warm-started) session.  Assertions:
 * **parent-hits recorded** -- the engine's incremental counters show both
   parent-artifact hits and the exact hit, so the fallback chain
   (exact -> parent -> cold) demonstrably engaged.
-
-The aggressive leg is recorded but not perf-asserted: steering the search
-with a warm root basis / seeded incumbent wins or loses depending on
-degeneracy (see the ``SolveContext`` docs), and this substrate's node LPs
-are degenerate often enough that the honest claim is parity-mode savings.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from conftest import bench_scale
+from conftest import bench_scale, write_baseline
 
 from repro.bench.experiments import experiment_incremental
 from repro.bench.reporting import ascii_table
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-
-
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "incremental",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_incremental_chain(benchmark):
@@ -57,14 +38,14 @@ def test_incremental_chain(benchmark):
     )
     print()
     print(ascii_table(records, title="Incremental synthesis: cold vs. session"))
-    _write_baseline(records)
+    write_baseline("incremental", records)
 
     visits = [r for r in records if r.experiment == "incremental_chain"]
     by_mode = {
         mode: sorted(
             (r for r in visits if r.method == mode), key=lambda r: r.params["visit"]
         )
-        for mode in ("cold", "incremental", "aggressive")
+        for mode in ("cold", "incremental")
     }
     n_visits = len(by_mode["cold"])
     assert n_visits >= 5, "the chain must visit at least 3 edits plus a revisit"
@@ -98,9 +79,8 @@ def test_incremental_chain(benchmark):
         for r in records
         if r.experiment == "incremental_stats"
     }
-    for mode in ("incremental", "aggressive"):
-        assert stats[mode]["exact_hits"] >= 1, stats[mode]
-        assert stats[mode]["parent_hits"] >= 1, stats[mode]
+    assert stats["incremental"]["exact_hits"] >= 1, stats["incremental"]
+    assert stats["incremental"]["parent_hits"] >= 1, stats["incremental"]
     # One session = one chain: every visit is accounted one tier or another.
     assert (
         stats["incremental"]["exact_hits"]
@@ -108,7 +88,3 @@ def test_incremental_chain(benchmark):
         + stats["incremental"]["cold_solves"]
         == n_visits
     )
-
-    # -- aggressive leg is recorded and lawful (not perf-asserted) ------------
-    assert all(r.error >= 0 for r in by_mode["aggressive"])
-    assert "exact" in [r.extra["served"] for r in by_mode["aggressive"]]

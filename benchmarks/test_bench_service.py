@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from pathlib import Path
+
+from conftest import baseline_path, write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.cluster import ClusterOptions, ClusterRouter
@@ -41,7 +42,7 @@ from repro.loadgen import (
 )
 from repro.service import QueryServer, QueryServerOptions
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+BASELINE_PATH = baseline_path("service")
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -155,15 +156,6 @@ def _record(leg: str, report, stats=None) -> ExperimentRecord:
     )
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "service",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_service_load_bench(benchmark):
     plan = build_plan(_users(), seed=SEED)
     n_operations = sum(len(ops) for ops in plan.values())
@@ -191,7 +183,7 @@ def test_service_load_bench(benchmark):
             f"server ({n_operations} ops)",
         )
     )
-    _write_baseline(records)
+    write_baseline("service", records)
 
     # -- every closed leg answered the whole plan -----------------------------
     for report in (single, clustered):

@@ -4,9 +4,9 @@ A session is the client-side unit of interactive synthesis: it pins a base
 :class:`~repro.core.problem.RankingProblem`, accumulates
 :class:`~repro.core.delta.ProblemDelta` edits, and solves the current head
 through the engine's delta-aware incremental path
-(:meth:`~repro.engine.engine.SolveEngine.solve_incremental`), so consecutive
-solves reuse the previous solve's artifacts (root LP basis, cached results,
-cell evaluators) instead of starting cold.
+(:meth:`~repro.engine.engine.SolveEngine.solve_incremental`), so revisited
+states are exact cache hits and the batched cell evaluator is carried along
+the chain instead of being rebuilt.
 
 Quick start::
 
@@ -20,13 +20,9 @@ Quick start::
         second = session.solve()             # ... solved incrementally
         print(second.served, second.result.describe())
 
-The default session is **exact-parity safe**: every solve returns exactly
-what a cold solve of the edited problem returns (the differential oracle's
-``incremental_parity`` invariant).  ``aggressive=True`` additionally
-warm-starts the exact solver from the previous solve (root LP basis +
-incumbent weights): fewer simplex pivots on interactive re-solves, at the
-cost that a truncated or tie-heavy search may return a different
-representative within the same guarantees.
+A session is **exact-parity safe**: every solve returns exactly what a cold
+solve of the edited problem returns (the differential oracle's
+``incremental_parity`` invariant).
 
 Sessions serialize: :meth:`to_dict` captures the base problem and the wire
 form of the delta chain, and :meth:`from_dict` replays it -- fingerprints
@@ -36,7 +32,7 @@ entries the original populated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,11 +75,6 @@ class SynthesisSession:
         problem: The base problem the edit chain starts from.
         method: Default registered method for :meth:`solve`.
         options: Default wire options for :meth:`solve`.
-        aggressive: Actively warm-start the exact solver from the previous
-            solve (root LP basis + incumbent weights).  Saves simplex pivots
-            on interactive re-solves, but under tied optima or a truncated
-            search the returned representative may differ from a cold
-            solve's; the default keeps exact cold parity.
     """
 
     def __init__(
@@ -92,12 +83,10 @@ class SynthesisSession:
         problem: RankingProblem,
         method: str = "symgd",
         options: dict | None = None,
-        aggressive: bool = False,
     ) -> None:
         self.engine = engine
         self.method = method
         self.options = dict(options or {})
-        self.aggressive = bool(aggressive)
         self._base = problem
         self._problem = problem
         self._deltas: list[ProblemDelta] = []
@@ -235,7 +224,7 @@ class SynthesisSession:
 
         The previous solve's request fingerprint addresses the engine's
         artifact side-table, so this solve falls back exact-hit ->
-        parent-warm-start -> cold (see
+        parent hit -> cold (see
         :meth:`~repro.engine.engine.SolveEngine.solve_incremental`).
         """
         request = SynthesisRequest(
@@ -246,7 +235,6 @@ class SynthesisSession:
         outcome = self.engine.solve_incremental(
             request,
             parent_fingerprint=self._last_fingerprint,
-            aggressive=self.aggressive,
         )
         self._last_fingerprint = request.fingerprint
         self.history.append(
@@ -270,31 +258,26 @@ class SynthesisSession:
         unranked-tuple adds/drops, and rebuilt otherwise -- all bit-identical
         to a fresh build.
         """
-        from repro.engine.context import SolveContext
+        from repro.engine.context import SolveArtifacts
 
         warm = None
         if self._last_fingerprint is not None:
             warm = self.engine.artifacts_for(self._last_fingerprint)
         if (warm is None or warm.cell_evaluator is None) and self._evaluator_key:
             warm = self.engine.artifacts_for(self._evaluator_key) or warm
-        context = SolveContext(warm=warm)
-        bounds = self.engine.cell_error_bounds(
-            self._problem, cells, context=context
-        )
         # Stash the (possibly updated) evaluator against the head so the
         # next call -- or the next solve's artifacts -- can pick it up.
-        captured = context.captured
-        captured.request_fingerprint = self._last_fingerprint or (
-            "evaluator:" + self._problem.fingerprint()
+        key = self._last_fingerprint or "evaluator:" + self._problem.fingerprint()
+        artifacts = (
+            replace(warm, request_fingerprint=key)
+            if warm is not None
+            else SolveArtifacts(request_fingerprint=key)
         )
-        captured.problem_fingerprint = self._problem.fingerprint()
-        if warm is not None:
-            # Keep the solve artifacts (basis, weights) alongside the
-            # refreshed evaluator.
-            captured.weights = warm.weights
-            captured.root_basis = warm.root_basis
-        self.engine.store_artifacts(captured)
-        self._evaluator_key = captured.request_fingerprint
+        bounds = self.engine.cell_error_bounds(
+            self._problem, cells, artifacts=artifacts
+        )
+        self.engine.store_artifacts(artifacts)
+        self._evaluator_key = key
         return bounds
 
     # -- serialization --------------------------------------------------------
@@ -306,7 +289,6 @@ class SynthesisSession:
             "deltas": [delta.to_dict() for delta in self._deltas],
             "method": self.method,
             "options": dict(self.options),
-            "aggressive": self.aggressive,
         }
 
     @classmethod
@@ -316,13 +298,13 @@ class SynthesisSession:
         The delta chain is re-applied through ``apply_delta``, so the
         resumed head's composed fingerprint equals the original's and its
         next solve dedupes against the cache entries the original populated.
+        Unknown keys, such as options older versions wrote, are ignored.
         """
         session = cls(
             engine,
             RankingProblem.from_dict(data["base"]),
             method=data.get("method", "symgd"),
             options=dict(data.get("options") or {}),
-            aggressive=bool(data.get("aggressive", False)),
         )
         deltas = deltas_from_dicts(data.get("deltas") or [])
         if deltas:

@@ -935,18 +935,14 @@ def experiment_incremental(
     Models the analyst loop the delta layer exists for: a base problem is
     edited through ``scenarios.mutate()``-style deltas (jitter, tolerance
     tightening), inspected, partially undone (:meth:`SynthesisSession.rewind`),
-    and re-solved -- six visited states, one of them a revisit.  Three legs
+    and re-solved -- six visited states, one of them a revisit.  Two legs
     run the same visit sequence:
 
     * ``cold`` -- every visited state solved from scratch through the
       registry, exactly as a stateless caller would;
     * ``incremental`` -- one exact-parity session: composed fingerprints
       dedupe the revisited state into a cache hit (zero simplex pivots) and
-      every other state solves bitwise-identically to cold;
-    * ``aggressive`` -- the same session with cross-solve warm starts (root
-      LP basis + incumbent seeding), recorded for the trajectory; its
-      iteration count is informational, not asserted, because steering the
-      search can win or lose depending on degeneracy.
+      every other state solves bitwise-identically to cold.
 
     The exact solver runs on the built-in simplex backend with a weak
     (``uniform``) warm-start strategy so every solve does real LP work --
@@ -1035,54 +1031,49 @@ def experiment_incremental(
             )
         )
 
-    # -- incremental / aggressive legs: one session each ----------------------
-    for mode in ("incremental", "aggressive"):
-        with RankHowClient() as client:
-            session = client.session(
-                base,
-                method="rankhow",
-                options=options,
-                aggressive=(mode == "aggressive"),
+    # -- incremental leg: one session ------------------------------------------
+    with RankHowClient() as client:
+        session = client.session(base, method="rankhow", options=options)
+
+        def _solve_and_record(index):
+            start = time.perf_counter()
+            outcome = session.solve()
+            wall = time.perf_counter() - start
+            performed = (
+                0
+                if outcome.served == "exact"
+                else outcome.result.diagnostics["lp_iterations"]
             )
-            index = 0
-
-            def _solve_and_record(index):
-                start = time.perf_counter()
-                outcome = session.solve()
-                wall = time.perf_counter() - start
-                performed = (
-                    0
-                    if outcome.served == "exact"
-                    else outcome.result.diagnostics["lp_iterations"]
-                )
-                records.append(
-                    _visit_record(
-                        mode, index, outcome.result, performed, outcome.served, wall
-                    )
-                )
-
-            _solve_and_record(index)
-            for step in script:
-                index += 1
-                if step is None:
-                    session.rewind(2)
-                else:
-                    kind, mutation_seed = step
-                    deltas, _ = mutation_delta(
-                        session.problem, kind, seed=mutation_seed
-                    )
-                    session.edit(*deltas)
-                _solve_and_record(index)
-            stats = client.stats()["incremental"]
             records.append(
-                ExperimentRecord(
-                    experiment="incremental_stats",
-                    dataset="uniform",
-                    method=mode,
-                    params={"n": num_tuples, "k": k},
-                    extra=dict(stats),
+                _visit_record(
+                    "incremental",
+                    index,
+                    outcome.result,
+                    performed,
+                    outcome.served,
+                    wall,
                 )
             )
+
+        _solve_and_record(0)
+        for index, step in enumerate(script, start=1):
+            if step is None:
+                session.rewind(2)
+            else:
+                kind, mutation_seed = step
+                deltas, _ = mutation_delta(session.problem, kind, seed=mutation_seed)
+                session.edit(*deltas)
+            _solve_and_record(index)
+        stats = client.stats()["incremental"]
+        records.append(
+            ExperimentRecord(
+                experiment="incremental_stats",
+                dataset="uniform",
+                method="incremental",
+                params={"n": num_tuples, "k": k},
+                extra=dict(stats),
+            )
+        )
     return records
 
 

@@ -334,7 +334,7 @@ class ClusterRouter:
         self._supervisor_task: asyncio.Task | None = None
         self._deadline_exceeded = 0
         # Append-only session journal: session_id -> {base, method, params,
-        # aggressive, deltas}.  Deltas are appended only AFTER the owning
+        # deltas}.  Deltas are appended only AFTER the owning
         # shard acknowledged them, so replaying the journal on a restarted
         # shard reconstructs exactly the state the client knows about (an
         # op in flight at crash time fails retryably and re-applies once).
@@ -598,7 +598,6 @@ class ClusterRouter:
             "deltas": list(journal["deltas"]),
             "method": journal["method"],
             "params": dict(journal["params"]),
-            "aggressive": journal["aggressive"],
         }
 
     def _routable(self, index: int) -> bool:
@@ -853,7 +852,6 @@ class ClusterRouter:
         problem: RankingProblem,
         method: str = "symgd",
         params: dict | None = None,
-        aggressive: bool = False,
     ) -> str:
         """Open an edit session, pinned to the base problem's owning shard.
 
@@ -869,8 +867,7 @@ class ClusterRouter:
         session_id = self._pin_session(shard_index)
         try:
             await self.shards[shard_index].open_session(
-                problem, method, params, session_id=session_id,
-                aggressive=aggressive,
+                problem, method, params, session_id=session_id
             )
         except BaseException as error:
             self._session_shard.pop(session_id, None)
@@ -884,7 +881,6 @@ class ClusterRouter:
             "base": problem.to_dict(),
             "method": method,
             "params": dict(params or {}),
-            "aggressive": bool(aggressive),
             "deltas": [],
         }
         return session_id
@@ -990,7 +986,6 @@ class ClusterRouter:
             "base": data["base"],
             "method": method,
             "params": dict(data.get("params") or {}),
-            "aggressive": bool(data.get("aggressive", False)),
             "deltas": list(data.get("deltas") or []),
         }
         return session_id
@@ -1089,6 +1084,10 @@ class ClusterRouter:
             if self._started_at is not None
             else 0.0
         )
+        cache = _sum_numeric([stats.cache for stats in per_shard])
+        # A ratio does not sum across shards: recompute it from the totals.
+        lookups = cache.get("hits", 0) + cache.get("misses", 0)
+        cache["hit_rate"] = cache.get("hits", 0) / lookups if lookups else 0.0
         totals = ServiceStats(
             requests=requests,
             coalesced=sum(stats.coalesced for stats in per_shard),
@@ -1106,7 +1105,7 @@ class ClusterRouter:
             throughput=requests / wall if wall > 0 else 0.0,
             wall_time=wall,
             history_window=sum(stats.history_window for stats in per_shard),
-            cache=_sum_numeric([stats.cache for stats in per_shard]),
+            cache=cache,
             sessions_open=sum(stats.sessions_open for stats in per_shard),
             sessions_opened=sum(stats.sessions_opened for stats in per_shard),
             sessions_evicted=sum(

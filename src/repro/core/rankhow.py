@@ -114,7 +114,6 @@ class RankHow:
         problem: RankingProblem,
         cell_bounds: tuple[np.ndarray, np.ndarray] | None = None,
         warm_start: np.ndarray | None = None,
-        context=None,
     ) -> SynthesisResult:
         """Solve OPT (optionally restricted to a weight-space cell).
 
@@ -122,22 +121,13 @@ class RankHow:
             problem: The problem instance.
             cell_bounds: Optional ``(lower, upper)`` box on the weights.
             warm_start: Optional weight vector used as the initial incumbent.
-            context: Optional :class:`~repro.engine.context.SolveContext`
-                (duck-typed -- this module does not import the engine).  Warm
-                artifacts from a parent solve flow in when the context opts
-                in (``reuse_basis``: the parent's root LP basis;
-                ``reuse_incumbent``: its weights as an extra incumbent), and
-                this solve's reusable artifacts flow back out via
-                ``context.capture_*``.  A context with both flags off (the
-                exact-parity default) captures without injecting, so the
-                solve is bitwise the cold solve.
 
         Returns:
             A :class:`SynthesisResult`; ``optimal`` is ``True`` only when the
             branch-and-bound proved optimality within its limits.
         """
         with obs_span("solver.rankhow", k=problem.k) as sp:
-            result = self._solve(problem, cell_bounds, warm_start, context)
+            result = self._solve(problem, cell_bounds, warm_start)
             if sp:
                 diagnostics = result.diagnostics
                 sp.set_attributes(
@@ -158,7 +148,6 @@ class RankHow:
         problem: RankingProblem,
         cell_bounds: tuple[np.ndarray, np.ndarray] | None,
         warm_start: np.ndarray | None,
-        context,
     ) -> SynthesisResult:
         options = self.options
         start = time.perf_counter()
@@ -186,18 +175,10 @@ class RankHow:
         initial_incumbent = None
         if warm_start is None and options.warm_start_strategy != "none":
             warm_start = self._warm_start_weights(problem, cell_bounds)
-        if context is not None:
-            warm_start = self._merge_context_incumbent(
-                problem, warm_start, cell_bounds, context
-            )
         if warm_start is not None:
             initial_incumbent = formulation.incumbent_from_weights(
                 np.asarray(warm_start, dtype=float)
             )
-
-        initial_basis = None
-        if context is not None and context.reuse_basis:
-            initial_basis = context.warm_root_basis()
 
         gap_tolerance = 1.0 - 1e-6 if options.error_weights is None else 1e-6
         solver_options = SolverOptions(
@@ -212,12 +193,9 @@ class RankHow:
             gap_tolerance=gap_tolerance,
             warm_start_lp=bool(options.extra.get("warm_start_lp", True)),
             node_presolve=bool(options.extra.get("node_presolve", True)),
-            initial_basis=initial_basis,
         )
         solver = BranchAndBoundSolver(solver_options)
         solution = solver.solve(formulation.model)
-        if context is not None:
-            context.capture_root_basis(solution.root_basis)
         elapsed = time.perf_counter() - start
 
         if not solution.has_solution:
@@ -282,45 +260,6 @@ class RankHow:
             },
         )
 
-
-    def _merge_context_incumbent(
-        self,
-        problem: RankingProblem,
-        warm_start: np.ndarray | None,
-        cell_bounds: tuple[np.ndarray, np.ndarray] | None,
-        context,
-    ) -> np.ndarray | None:
-        """Fold a parent solve's incumbent weights into the warm start.
-
-        Only when the context opts in (``reuse_incumbent``): an extra
-        incumbent tightens pruning, which can change *which* optimal solution
-        a truncated search reports -- the exact-parity incremental path keeps
-        it off and reuses only output-invariant artifacts.  Preference on
-        ties goes to the cold path's own warm start, so enabling reuse can
-        only substitute a strictly better (lower true error) incumbent.
-        """
-        if not context.reuse_incumbent:
-            return warm_start
-        candidate = context.warm_weights()
-        if candidate is None:
-            return warm_start
-        candidate = np.asarray(candidate, dtype=float).ravel()
-        if candidate.shape[0] != problem.num_attributes or not np.all(
-            np.isfinite(candidate)
-        ):
-            return warm_start
-        if cell_bounds is not None:
-            lower, upper = cell_bounds
-            if np.any(candidate < np.asarray(lower) - 1e-9) or np.any(
-                candidate > np.asarray(upper) + 1e-9
-            ):
-                return warm_start
-        if warm_start is None:
-            return candidate
-        if problem.error_of(candidate) < problem.error_of(warm_start):
-            return candidate
-        return warm_start
-
     def _warm_start_weights(
         self,
         problem: RankingProblem,
@@ -364,28 +303,3 @@ class RankHow:
                 return None
         return seed
 
-
-def solve_exact(
-    problem: RankingProblem, options: RankHowOptions | None = None
-) -> SynthesisResult:
-    """Deprecated convenience wrapper around the registered ``rankhow`` method.
-
-    .. deprecated:: 1.1
-        Use ``repro.get_method("rankhow").synthesize(problem, options)`` or
-        :class:`repro.RankHowClient` (which adds caching and batching).
-    """
-    import warnings
-
-    warnings.warn(
-        "solve_exact() is deprecated; use repro.get_method('rankhow')"
-        ".synthesize(problem, options) or repro.RankHowClient instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Lazy import: the registry's adapters are built on top of this module.
-    from repro.api.registry import get_method
-
-    # Spelling the defaults out preserves this function's historical
-    # exhaustive-solve semantics over the registry's service-friendly ones.
-    effective = (options or RankHowOptions()).to_dict()
-    return get_method("rankhow").synthesize(problem, effective)

@@ -156,10 +156,12 @@ class MemmapColumnStore(ColumnStore):
     """Numeric columns as read-only ``np.memmap`` views over flat files.
 
     The store owns its backing directory: a ``TemporaryDirectory`` that is
-    cleaned up when the store is garbage-collected, or the caller's
-    ``directory`` (never deleted by the store).  Every relation that
-    shares a mapped column also retains the store, so the files outlive
-    all structural-sharing descendants.
+    cleaned up when the store is garbage-collected, or a fresh
+    subdirectory of the caller's ``directory`` (never deleted by the
+    store), so stores sharing one ``directory`` never overwrite each
+    other's files.  Every relation that shares a mapped column also
+    retains the store, so the files outlive all structural-sharing
+    descendants.
     """
 
     backend = "memmap"
@@ -171,14 +173,7 @@ class MemmapColumnStore(ColumnStore):
         directory: str | Path | None = None,
     ) -> None:
         super().__init__()
-        if directory is None:
-            self._tempdir = tempfile.TemporaryDirectory(prefix="repro-columns-")
-            root = Path(self._tempdir.name)
-        else:
-            self._tempdir = None
-            root = Path(directory)
-            root.mkdir(parents=True, exist_ok=True)
-        self._root = root
+        self._claim_directory(directory)
         for index, (name, values) in enumerate(columns.items()):
             array = _cast(frozen_column(values), dtype)
             if np.issubdtype(array.dtype, np.number) and array.size:
@@ -203,14 +198,7 @@ class MemmapColumnStore(ColumnStore):
         """
         store = cls.__new__(cls)
         ColumnStore.__init__(store)
-        if directory is None:
-            store._tempdir = tempfile.TemporaryDirectory(prefix="repro-columns-")
-            root = Path(store._tempdir.name)
-        else:
-            store._tempdir = None
-            root = Path(directory)
-            root.mkdir(parents=True, exist_ok=True)
-        store._root = root
+        root = store._claim_directory(directory)
         dtype = np.dtype(dtype)
         names = list(names)
         if num_rows <= 0:
@@ -251,6 +239,17 @@ class MemmapColumnStore(ColumnStore):
                 name, np.memmap(path, dtype=dtype, mode="r", shape=(num_rows,))
             )
         return store
+
+    def _claim_directory(self, directory: str | Path | None) -> Path:
+        """Create this store's private backing directory and return it."""
+        if directory is None:
+            self._tempdir = tempfile.TemporaryDirectory(prefix="repro-columns-")
+            self._root = Path(self._tempdir.name)
+        else:
+            self._tempdir = None
+            Path(directory).mkdir(parents=True, exist_ok=True)
+            self._root = Path(tempfile.mkdtemp(prefix="repro-columns-", dir=directory))
+        return self._root
 
     def _map(self, stem: str, array: np.ndarray) -> np.ndarray:
         path = self._root / f"{stem}.{array.dtype.str.lstrip('<>|=')}.bin"

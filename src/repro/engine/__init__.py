@@ -17,7 +17,7 @@ throughput.  It sits between :mod:`repro.core` (the algorithms) and
 """
 
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.context import SolveArtifacts, SolveContext
+from repro.engine.context import SolveArtifacts
 from repro.engine.engine import IncrementalStats, SolveEngine, SolveOutcome, SolveRequest
 from repro.engine.policy import (
     POLICY_NAMES,
@@ -65,7 +65,6 @@ __all__ = [
     "SerialExecutor",
     "IncrementalStats",
     "SolveArtifacts",
-    "SolveContext",
     "SolveEngine",
     "SolveOutcome",
     "SolveRequest",

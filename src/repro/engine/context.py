@@ -1,39 +1,22 @@
-"""Cross-solve artifact carrier for delta-aware incremental synthesis.
+"""Cross-solve artifacts for delta-aware incremental synthesis.
 
-A :class:`SolveContext` travels with one solve and does two jobs:
+A :class:`SolveArtifacts` record is what one solve of an edit chain leaves
+for the next: the batched :class:`~repro.core.cells.CellBoundEvaluator` of
+the problem it solved.  Reusing it is **exact-parity safe** -- the
+evaluator's incremental row updates are bit-identical to a rebuild -- so an
+incremental solve never returns anything a cold solve would not.  The rest
+of an edit chain's savings come from composed-fingerprint cache dedupe
+(exact hits), which needs no artifact at all.
 
-* **Warm side (in)** -- artifacts captured from the parent solve of an edit
-  chain: the parent's root-LP basis (plus the standard-form shape it is
-  valid for), its incumbent weights, and its batched
-  :class:`~repro.core.cells.CellBoundEvaluator`.  Solvers consume what they
-  can; everything is best-effort and shape-guarded, with the cold path as
-  the universal fallback.
-* **Capture side (out)** -- the same artifacts of *this* solve, recorded so
-  the engine can stash them for the next edit in the chain.
-
-The default configuration is **exact-parity safe**: only artifacts that
-cannot change a solver's output are reused -- composed-fingerprint cache
-dedupe, preserved problem memos, and the batched cell evaluator (whose
-incremental row updates are bit-identical to a rebuild).  ``reuse_basis``
-and ``reuse_incumbent`` are opt-in (sessions expose both as
-``aggressive=True``): a warm root basis or a seeded incumbent genuinely
-saves simplex pivots, but it steers the search -- under tied optima or a
-truncated node budget the solver may return a *different* representative
-(same guarantees, not bitwise the same result), which is exactly what the
-exact-parity default must never do.
-
-This module is an engine leaf: solvers receive the context duck-typed (the
-core layer never imports the engine), and nothing here imports the rest of
+This module is an engine leaf: nothing here imports the rest of
 :mod:`repro.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["SolveArtifacts", "SolveContext"]
+__all__ = ["SolveArtifacts"]
 
 
 @dataclass
@@ -43,95 +26,28 @@ class SolveArtifacts:
     Attributes:
         request_fingerprint: Fingerprint of the request that produced these
             artifacts (the engine's side-table key).
-        problem_fingerprint: Fingerprint of the problem that was solved.
-        weights: The result's weight vector (incumbent candidate for an
-            opt-in ``reuse_incumbent`` child solve).
-        root_basis: Optimal standard-form basis of the root LP relaxation
-            (built-in simplex backend only; shape-checked against the
-            consumer's prepared standard form inside the branch-and-bound).
+        problem_fingerprint: Fingerprint of the problem ``cell_evaluator``
+            answers for.
         cell_evaluator: A :class:`~repro.core.cells.CellBoundEvaluator`
             built for the problem (reused or incrementally row-updated for
-            tuple deltas by :meth:`SolveContext.evaluator_for`).
+            tuple deltas by :meth:`evaluator_for`).
     """
 
     request_fingerprint: str = ""
     problem_fingerprint: str = ""
-    weights: np.ndarray | None = None
-    root_basis: np.ndarray | None = None
     cell_evaluator: object | None = None
 
-
-@dataclass
-class SolveContext:
-    """One solve's view of the edit chain: warm artifacts in, captured out.
-
-    Attributes:
-        warm: Artifacts of the parent solve (``None`` on a cold chain head).
-        reuse_basis: Feed the parent's root basis to the exact solver's root
-            LP.  Saves pivots, but under degenerate/tied optima the root LP
-            may land on a different optimal vertex and steer the search, so
-            it is off by default (exact parity) and on in aggressive mode.
-        reuse_incumbent: Feed the parent's weights as an extra incumbent
-            (tightens pruning; can change which optimal solution a
-            truncated search reports; aggressive mode only).
-        captured: Artifacts recorded by the solver(s) this context rode
-            along with.
-    """
-
-    warm: SolveArtifacts | None = None
-    reuse_basis: bool = False
-    reuse_incumbent: bool = False
-    captured: SolveArtifacts = field(default_factory=SolveArtifacts)
-
-    # -- warm side (consumed by solvers) --------------------------------------
-
-    def warm_root_basis(self) -> np.ndarray | None:
-        """The parent's root basis, or ``None`` when there is nothing to reuse."""
-        if self.warm is None:
-            return None
-        return self.warm.root_basis
-
-    def warm_weights(self) -> np.ndarray | None:
-        """The parent's result weights (incumbent candidate), if any."""
-        if self.warm is None:
-            return None
-        return self.warm.weights
-
-    # -- capture side (filled by solvers) -------------------------------------
-
-    def capture_root_basis(self, basis: np.ndarray | None) -> None:
-        """Record this solve's root basis for the next edit in the chain."""
-        if basis is not None:
-            self.captured.root_basis = np.asarray(basis, dtype=int).copy()
-
-    def capture_weights(self, weights) -> None:
-        """Record this solve's result weights."""
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if np.all(np.isfinite(weights)):
-                self.captured.weights = weights.copy()
-
-    # -- cell-bound evaluator reuse -------------------------------------------
-
     def evaluator_for(self, problem):
-        """A :class:`CellBoundEvaluator` for ``problem``, reusing the parent's.
+        """This record's cell evaluator carried over to ``problem``, if possible.
 
-        Falls back from (a) the parent evaluator verbatim when the problem
-        fingerprint still matches, through (b) an incremental row update when
-        only unranked tuples were appended or dropped (see
-        :meth:`CellBoundEvaluator.updated_for`), to (c) a fresh build.  The
-        updated/rebuilt evaluator is also captured for the next edit.
+        Returns the evaluator verbatim when the problem fingerprint still
+        matches, an incremental row update when only tolerances changed or
+        unranked tuples were appended or dropped (see
+        :meth:`CellBoundEvaluator.updated_for`), and ``None`` otherwise --
+        the caller then builds a fresh one.
         """
-        from repro.core.cells import CellBoundEvaluator
-
-        evaluator = None
-        if self.warm is not None and self.warm.cell_evaluator is not None:
-            parent = self.warm.cell_evaluator
-            if self.warm.problem_fingerprint == problem.fingerprint():
-                evaluator = parent
-            else:
-                evaluator = parent.updated_for(problem)
-        if evaluator is None:
-            evaluator = CellBoundEvaluator(problem)
-        self.captured.cell_evaluator = evaluator
-        return evaluator
+        if self.cell_evaluator is None:
+            return None
+        if self.problem_fingerprint == problem.fingerprint():
+            return self.cell_evaluator
+        return self.cell_evaluator.updated_for(problem)

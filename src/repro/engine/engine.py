@@ -27,7 +27,7 @@ from repro.core.problem import RankingProblem
 from repro.core.result import SynthesisResult
 from repro.core.symgd import SymGD, SymGDOptions
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.context import SolveArtifacts, SolveContext
+from repro.engine.context import SolveArtifacts
 from repro.engine.executor import Executor, ExecutorStats, get_executor
 from repro.engine.tasks import solve_request_task
 from repro.obs.trace import adopt_results, pack_tasks, run_packed_task
@@ -47,9 +47,10 @@ class SolveOutcome:
     """A solved request plus how it was served.
 
     ``served`` is set by the delta-aware incremental path only: ``"exact"``
-    (cache hit on the child fingerprint), ``"warm"`` (solved with parent
-    artifacts), or ``"cold"`` (solved from scratch).  Batch-path outcomes
-    leave it ``None``, keeping their wire format unchanged.
+    (cache hit on the child fingerprint), ``"warm"`` (a parent hit: solved,
+    with the parent's artifacts carried along), or ``"cold"`` (solved with
+    no parent).  Batch-path outcomes leave it ``None``, keeping their wire
+    format unchanged.
     """
 
     result: SynthesisResult
@@ -139,11 +140,10 @@ class SolveEngine:
         self.obs = None
         if obs is not None:
             self.attach_obs(obs)
-        # Side table of cross-solve artifacts (root LP bases, incumbent
-        # weights, cell evaluators) keyed by *request* fingerprint.  Kept out
-        # of the result cache on purpose: artifacts are process-local
-        # accelerators, not part of any result's wire format, so the cold
-        # path's bytes stay untouched.
+        # Side table of cross-solve artifacts (cell evaluators) keyed by
+        # *request* fingerprint.  Kept out of the result cache on purpose:
+        # artifacts are process-local accelerators, not part of any result's
+        # wire format, so the cold path's bytes stay untouched.
         self._artifact_capacity = 64
         self._artifacts: OrderedDict[str, SolveArtifacts] = OrderedDict()
         self._artifact_lock = threading.Lock()
@@ -423,7 +423,6 @@ class SolveEngine:
         self,
         request: SolveRequest,
         parent_fingerprint: str | None = None,
-        aggressive: bool = False,
     ) -> SolveOutcome:
         """Solve one request with the delta-aware fallback chain.
 
@@ -437,45 +436,35 @@ class SolveEngine:
         1. **Exact hit** -- the request fingerprint is already cached (an
            edit chain revisited a state, e.g. a replayed/undone chain
            prefix); no solver runs.
-        2. **Parent hit** -- artifacts captured from the parent solve of the
-           edit chain (addressed by ``parent_fingerprint``, the previous
-           request's fingerprint) travel with this solve; with
-           ``aggressive`` set they actively warm-start it (the exact
-           solver's root LP resumes from the parent's optimal basis and the
-           parent's weights seed the incumbent).
+        2. **Parent hit** -- the parent solve of the edit chain (addressed by
+           ``parent_fingerprint``, the previous request's fingerprint) left
+           artifacts; the solve itself runs cold, and the parent's batched
+           cell evaluator is carried over to this request's artifacts.
         3. **Cold** -- no reusable state; the solve runs exactly as
            :meth:`solve` would.
 
-        With ``aggressive`` off (the default) every tier returns
-        byte-identical results to a cold solve of the same request: tier 1
-        is the same request's cached result, and tier 2 attaches only
-        output-invariant artifacts (the differential oracle's
+        Every tier returns byte-identical results to a cold solve of the
+        same request: tier 1 is the same request's cached result, and tier 2
+        carries only output-invariant artifacts (the differential oracle's
         ``incremental_parity`` invariant checks this per scenario family).
-        Aggressive mode trades that guarantee for pivots: under tied optima
-        or a truncated node budget the solver may return a different
-        representative within the same optimality guarantees.  The solve
-        runs in-process (not on the executor): artifacts must survive the
-        round trip, and an interactive session's latency is dominated by
-        the solver, not by dispatch.
+        The solve runs in-process (not on the executor): artifacts must
+        survive the round trip, and an interactive session's latency is
+        dominated by the solver, not by dispatch.
         """
         tracer = self._tracer()
         if tracer is None:
-            return self._solve_incremental(request, parent_fingerprint, aggressive)
+            return self._solve_incremental(request, parent_fingerprint)
         with tracer.span(
             "engine.solve_incremental",
             method=request.method,
             fingerprint=request.fingerprint,
-            aggressive=aggressive,
         ) as span:
-            outcome = self._solve_incremental(request, parent_fingerprint, aggressive)
+            outcome = self._solve_incremental(request, parent_fingerprint)
             span.set_attributes(served=outcome.served, cache_hit=outcome.cache_hit)
             return outcome
 
     def _solve_incremental(
-        self,
-        request: SolveRequest,
-        parent_fingerprint: str | None,
-        aggressive: bool,
+        self, request: SolveRequest, parent_fingerprint: str | None
     ) -> SolveOutcome:
         start = time.perf_counter()
         key = request.fingerprint
@@ -499,35 +488,26 @@ class SolveEngine:
             if parent_fingerprint is not None and parent_fingerprint != key
             else None
         )
-        context = SolveContext(
-            warm=warm, reuse_basis=aggressive, reuse_incumbent=aggressive
-        )
         method = get_method(request.method)
         with self._artifact_lock:
             self.solver_invocations += 1
-        result = method.synthesize_resolved(
-            request.problem, request.effective, context=context
-        )
+        result = method.synthesize_resolved(request.problem, request.effective)
         self._harvest_dataplane(result)
         self.cache.put(key, result, cost=time.perf_counter() - start)
-        context.capture_weights(result.weights)
-        captured = context.captured
-        captured.request_fingerprint = key
-        captured.problem_fingerprint = request.problem.fingerprint()
-        if (
-            captured.cell_evaluator is None
-            and warm is not None
-            and warm.cell_evaluator is not None
-        ):
-            # Carry the batched cell evaluator along the chain: reuse it
-            # verbatim for a same-content edit, row-update it for tuple /
-            # tolerance deltas, and drop it (rebuild on demand) for
-            # structural ones -- otherwise every solve would sever the
-            # evaluator chain a session's cell_error_bounds() calls rely on.
-            evaluator = warm.cell_evaluator.updated_for(request.problem)
-            if evaluator is not None:
-                captured.cell_evaluator = evaluator
-        self.store_artifacts(captured)
+        # Carry the batched cell evaluator along the chain: reuse it verbatim
+        # for a same-content edit, row-update it for tuple / tolerance
+        # deltas, and drop it (rebuild on demand) for structural ones --
+        # otherwise every solve would sever the evaluator chain a session's
+        # cell_error_bounds() calls rely on.
+        self.store_artifacts(
+            SolveArtifacts(
+                request_fingerprint=key,
+                problem_fingerprint=request.problem.fingerprint(),
+                cell_evaluator=(
+                    warm.evaluator_for(request.problem) if warm is not None else None
+                ),
+            )
+        )
         with self._artifact_lock:
             if warm is not None:
                 self.incremental_stats.parent_hits += 1
@@ -575,13 +555,12 @@ class SolveEngine:
         deltas,
         method: str = "symgd",
         params: dict | None = None,
-        aggressive: bool = False,
     ) -> SolveOutcome:
         """Apply a delta chain to ``base`` and solve the edited problem.
 
         Convenience wrapper for one-shot callers: the parent request is
         ``(base, method, params)``, so if ``base`` was solved through this
-        engine before, its artifacts warm-start the edited solve.  Session
+        engine before, the edited solve is served as a parent hit.  Session
         loops (:meth:`repro.api.client.RankHowClient.session`) track the
         parent fingerprint across many edits instead.
         """
@@ -594,7 +573,6 @@ class SolveEngine:
         return self.solve_incremental(
             SolveRequest(child, method, params),
             parent_fingerprint=parent_fingerprint,
-            aggressive=aggressive,
         )
 
     # -- parallel primitives --------------------------------------------------
@@ -633,22 +611,27 @@ class SolveEngine:
         problem: RankingProblem,
         cells,
         vectorized: bool = True,
-        context: SolveContext | None = None,
+        artifacts: SolveArtifacts | None = None,
     ):
         """Batched cell-error bounds fanned out over this engine's executor.
 
         Thin wrapper over :func:`repro.core.cells.cell_error_bounds_many` so
         service-side sweeps (grid seeding, cell heat maps) get the batched
-        classification and the executor fan-out in one call.  With a
-        ``context`` (the incremental session path) the batched evaluator is
-        reused -- or incrementally row-updated for tuple deltas -- instead of
-        being rebuilt per call, and the fan-out is skipped (the evaluator
-        already classifies all cells as one matrix program in-process).
+        classification and the executor fan-out in one call.  With
+        ``artifacts`` (the incremental session path) their batched evaluator
+        is reused -- or incrementally row-updated for tuple deltas -- instead
+        of being rebuilt per call, the evaluator used is recorded back on
+        ``artifacts`` (rebound to ``problem``), and the fan-out is skipped
+        (the evaluator already classifies all cells as one matrix program
+        in-process).
         """
-        from repro.core.cells import cell_error_bounds_many
+        from repro.core.cells import CellBoundEvaluator, cell_error_bounds_many
 
-        if context is not None and vectorized:
-            return context.evaluator_for(problem).bounds_many(list(cells))
+        if artifacts is not None and vectorized:
+            evaluator = artifacts.evaluator_for(problem) or CellBoundEvaluator(problem)
+            artifacts.cell_evaluator = evaluator
+            artifacts.problem_fingerprint = problem.fingerprint()
+            return evaluator.bounds_many(list(cells))
         return cell_error_bounds_many(
             problem, cells, executor=self.executor, vectorized=vectorized
         )

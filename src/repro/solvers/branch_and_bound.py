@@ -72,18 +72,6 @@ class SolverOptions:
             automatic fallback to the cold two-phase path).
         node_presolve: Run implied-bound tightening per node before the LP
             solve (fixes implied binaries, prunes infeasible nodes early).
-        initial_basis: Optional standard-form basis for the *root* LP solve,
-            typically the ``root_basis`` of a previous solve on a nearby
-            model (the incremental-synthesis aggressive path).  Consumed
-            only by the built-in simplex backend; a basis whose shape no
-            longer fits the prepared standard form is ignored, and an
-            ill-conditioned or infeasible one falls back to the cold
-            two-phase solve via the same machinery node warm starts use.
-            Status-level guarantees (optimality proofs, bounds) are
-            unaffected, but under tied optima the warm root LP may land on
-            a different optimal vertex and steer the search toward a
-            different -- equally valid -- representative, which is why the
-            exact-parity incremental path leaves this unset.
     """
 
     time_limit: float | None = None
@@ -97,7 +85,6 @@ class SolverOptions:
     search: str = "best_first"
     warm_start_lp: bool = True
     node_presolve: bool = True
-    initial_basis: np.ndarray | None = None
 
 
 @dataclass(order=True)
@@ -123,11 +110,7 @@ class BranchAndBoundSolver:
         pivots, warm-start outcomes, and final bound/gap land as span
         attributes on ``solver.branch_and_bound``.
         """
-        with obs_span(
-            "solver.branch_and_bound",
-            search=self.options.search,
-            warm_start_requested=self.options.initial_basis is not None,
-        ) as sp:
+        with obs_span("solver.branch_and_bound", search=self.options.search) as sp:
             solution = self._solve(model)
             if sp:
                 sp.set_attributes(
@@ -196,30 +179,7 @@ class BranchAndBoundSolver:
         if options.initial_incumbent is not None:
             try_incumbent(np.asarray(options.initial_incumbent, dtype=float))
 
-        # Cross-solve warm start: seed the root node with a basis from a
-        # previous solve on a nearby model.  Shape-guarded here; anything
-        # subtler (singular, primal infeasible after the data change) is
-        # handled by the simplex warm-start fallback exactly as for
-        # parent-to-child node bases.
-        root_basis: np.ndarray | None = None
-        if (
-            options.initial_basis is not None
-            and options.warm_start_lp
-            and prepared is not None
-        ):
-            candidate = np.asarray(options.initial_basis, dtype=int)
-            n_rows, n_cols = prepared.standard_shape
-            if (
-                candidate.ndim == 1
-                and candidate.shape[0] == n_rows
-                and candidate.size > 0
-                and candidate.min() >= 0
-                and candidate.max() < n_cols
-            ):
-                root_basis = candidate
-
-        root_basis_out: np.ndarray | None = None
-        heap: list[_Node] = [_Node(float("-inf"), next(counter), {}, 0, basis=root_basis)]
+        heap: list[_Node] = [_Node(float("-inf"), next(counter), {}, 0)]
         stack: list[_Node] = list(heap)
         root_bound_known = False
 
@@ -272,7 +232,6 @@ class BranchAndBoundSolver:
                     nodes=nodes_processed,
                     lp_iterations=total_lp_iterations,
                     warm_started_nodes=warm_started_nodes,
-                    root_basis=root_basis_out,
                 )
             if not lp_solution.is_optimal:
                 # Numerical trouble on this node; fall back to the built-in
@@ -290,10 +249,6 @@ class BranchAndBoundSolver:
             if not root_bound_known:
                 best_bound = node_bound
                 root_bound_known = True
-                # The root relaxation's optimal basis is the cross-solve
-                # warm-start artifact: a nearby problem's root LP can resume
-                # from it (see SolverOptions.initial_basis).
-                root_basis_out = lp_solution.basis
 
             # Prune by bound.
             if node_bound >= incumbent_obj - options.gap_tolerance:
@@ -363,7 +318,6 @@ class BranchAndBoundSolver:
                 nodes_processed,
                 lp_iterations=total_lp_iterations,
                 warm_started_nodes=warm_started_nodes,
-                root_basis=root_basis_out,
             )
 
         exhausted = not open_nodes
@@ -379,7 +333,6 @@ class BranchAndBoundSolver:
             gap,
             lp_iterations=total_lp_iterations,
             warm_started_nodes=warm_started_nodes,
-            root_basis=root_basis_out,
         )
 
     # -- helpers -----------------------------------------------------------------

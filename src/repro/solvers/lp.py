@@ -482,16 +482,6 @@ class PreparedStandardForm:
         c_std[: self.num_vars] = self.objective
         self._c_std = c_std
 
-    @property
-    def standard_shape(self) -> tuple[int, int]:
-        """``(rows, columns)`` of the prepared standard form.
-
-        A warm-start basis from a *different* solve is only meaningful when
-        both standard forms share this shape; callers check it before
-        feeding a cross-solve basis in.
-        """
-        return tuple(self._a_std.shape)
-
     def matches(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether the bound finiteness pattern still fits this structure."""
         return bool(

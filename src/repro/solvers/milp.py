@@ -51,11 +51,6 @@ class MILPSolution:
             iterations) summed over every node solve.
         warm_started_nodes: Node LPs that actually resumed from the parent
             basis (built-in simplex backend only).
-        root_basis: Optimal standard-form basis of the root relaxation
-            (built-in simplex backend only, ``None`` otherwise).  A caller
-            re-solving a nearby problem -- the incremental-synthesis session
-            path -- feeds it back as ``SolverOptions.initial_basis`` so the
-            next root LP can skip phase 1.
     """
 
     status: MILPStatus
@@ -66,7 +61,6 @@ class MILPSolution:
     gap: float = float("inf")
     lp_iterations: int = 0
     warm_started_nodes: int = 0
-    root_basis: np.ndarray | None = None
 
     @property
     def has_solution(self) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api.client import RankHowClient
 from repro.api.request import SynthesisRequest
+from repro.api.session import SynthesisSession
 from repro.core.constraints import max_weight
 from repro.core.delta import RescaleDelta, ToleranceDelta
 from repro.core.problem import RankingProblem, ToleranceSettings
@@ -109,6 +110,34 @@ def test_session_serialization_resume_dedupes(problem):
         assert replay.served == "exact"
         assert replay.result.error == original.result.error
         assert np.array_equal(replay.result.weights, original.result.weights)
+
+
+def test_legacy_wire_key_is_ignored_on_resume(problem):
+    """A wire form carrying an old ``aggressive`` flag solves like a default one."""
+    options = {
+        "node_limit": 60,
+        "verify": False,
+        "lp_method": "simplex",
+        "warm_start_strategy": "uniform",
+    }
+
+    def run_chain(session):
+        first = session.solve()
+        session.tighten_tolerance()
+        return first, session.solve()
+
+    with RankHowClient() as client:
+        default = client.session(problem, method="rankhow", options=options)
+        legacy_wire = {**default.to_dict(), "aggressive": True}
+        expected = run_chain(default)
+    with RankHowClient() as client:
+        legacy = SynthesisSession.from_dict(legacy_wire, client.engine)
+        got = run_chain(legacy)
+    assert [outcome.served for outcome in got] == ["cold", "warm"]
+    for want, have in zip(expected, got):
+        assert have.fingerprint == want.fingerprint
+        assert have.result.error == want.result.error
+        assert np.array_equal(have.result.weights, want.result.weights)
 
 
 def test_session_validates_method_eagerly(problem):

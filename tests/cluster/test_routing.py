@@ -91,6 +91,25 @@ def test_sharded_answers_match_single_server_bitwise():
     assert all(count > 0 for count in stats.routed)
 
 
+def test_cluster_cache_hit_rate_is_recomputed_from_summed_counts():
+    problems = [scenario_problem("heavy_tail", i, seed=5) for i in range(4)]
+    # Every problem is asked twice, so both shards see hits and misses and a
+    # key-wise sum of the per-shard ratios would exceed 1.
+    stream = problems + problems
+
+    async def scenario():
+        async with ClusterRouter(make_options()) as cluster:
+            for problem in stream:
+                await cluster.submit(problem, "symgd", FAST_PARAMS)
+            return await cluster.stats()
+
+    stats = asyncio.run(scenario())
+    assert all(shard.cache["hits"] > 0 for shard in stats.per_shard)
+    cache = stats.totals.cache
+    assert cache["hit_rate"] == cache["hits"] / (cache["hits"] + cache["misses"])
+    assert cache["hit_rate"] <= 1
+
+
 def test_session_pinning_survives_full_shard_queue():
     base = build_problem()
 

@@ -244,6 +244,41 @@ def test_pinned_session_survives_shard_crash_via_journal_replay():
     assert stats.restart_log[0]["sessions_replayed"] == 1
 
 
+def test_legacy_wire_key_is_ignored_by_resume_and_journal_replay():
+    """A resumed session with an old ``aggressive`` flag answers as a default
+    one, before and after its shard crashes and the journal is replayed."""
+    base = build_problem()
+    deltas = [RescaleDelta(factor=2.0).to_dict()]
+    more = [RescaleDelta(factor=0.5).to_dict()]
+
+    async def reference():
+        async with ClusterRouter(make_options(num_shards=1)) as cluster:
+            session_id = await cluster.open_session(base, "symgd", FAST_PARAMS)
+            first = await cluster.submit_session(session_id, deltas=deltas)
+            second = await cluster.submit_session(session_id, deltas=more)
+            wire = await cluster.export_session(session_id)
+            return wire, answer_digest(first.result), answer_digest(second.result)
+
+    async def scenario(wire):
+        legacy_wire = {**wire, "deltas": [], "aggressive": True}
+        async with ClusterRouter(make_options()) as cluster:
+            session_id = await cluster.resume_session(legacy_wire)
+            shard = cluster.session_shard(session_id)
+            first = await cluster.submit_session(session_id, deltas=deltas)
+            cluster.shards[shard].inject_kill()
+            await wait_until(lambda: cluster._restart_log)
+            await wait_until(lambda: cluster._routable(shard))
+            second = await cluster.submit_session(session_id, deltas=more)
+            stats = await cluster.stats()
+            return answer_digest(first.result), answer_digest(second.result), stats
+
+    wire, ref_first, ref_second = asyncio.run(reference())
+    got_first, got_second, stats = asyncio.run(scenario(wire))
+    assert got_first == ref_first
+    assert got_second == ref_second
+    assert stats.restart_log[0]["sessions_replayed"] == 1
+
+
 # -- restart budget ------------------------------------------------------------
 
 

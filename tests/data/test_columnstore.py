@@ -92,6 +92,20 @@ def test_memmap_stream_validates_row_accounting():
     assert len(empty) == 0 and empty.names() == names
 
 
+def test_memmap_stores_sharing_a_directory_keep_their_own_files(tmp_path):
+    names = ["x", "y"]
+    first = MemmapColumnStore({"x": np.ones(4), "y": np.ones(4)}, directory=tmp_path)
+    second = MemmapColumnStore.stream(
+        names, 4, iter([np.full((4, 2), 7.0)]), directory=tmp_path
+    )
+    third = MemmapColumnStore({"x": np.zeros(4), "y": np.zeros(4)}, directory=tmp_path)
+    assert np.array_equal(first.column("x"), np.ones(4))
+    assert np.array_equal(second.column("x"), np.full(4, 7.0))
+    assert np.array_equal(third.column("x"), np.zeros(4))
+    assert len({first.directory, second.directory, third.directory}) == 3
+    assert all(store.directory.parent == tmp_path for store in (first, second, third))
+
+
 # -- relation surface ---------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from repro.core.delta import (
 from repro.core.problem import RankingProblem
 from repro.core.ranking import Ranking
 from repro.data.relation import Relation
-from repro.engine.context import SolveArtifacts, SolveContext
+from repro.engine.context import SolveArtifacts
 from repro.engine.engine import SolveEngine, SolveRequest
 
 SYMGD_OPTS = {
@@ -106,46 +106,6 @@ def test_artifact_store_is_lru_bounded(problem):
         assert engine.artifacts_for("fp3") is None
 
 
-def test_rankhow_artifacts_capture_root_basis(problem):
-    options = {
-        "node_limit": 60,
-        "verify": False,
-        "lp_method": "simplex",
-        "warm_start_strategy": "uniform",
-    }
-    with SolveEngine() as engine:
-        request = SolveRequest(problem, "rankhow", options)
-        engine.solve_incremental(request)
-        artifacts = engine.artifacts_for(request.fingerprint)
-        assert artifacts is not None
-        assert artifacts.weights is not None
-        assert artifacts.root_basis is not None
-        assert artifacts.root_basis.dtype.kind == "i"
-
-
-def test_aggressive_reuse_stays_lawful(problem):
-    """Aggressive mode may pick a different representative, never break laws."""
-    options = {
-        "node_limit": 60,
-        "verify": False,
-        "lp_method": "simplex",
-        "warm_start_strategy": "uniform",
-    }
-    child = problem.apply_delta(tighten(problem))
-    with SolveEngine() as engine:
-        request = SolveRequest(problem, "rankhow", options)
-        engine.solve_incremental(request)
-        warm = engine.solve_incremental(
-            SolveRequest(child, "rankhow", options),
-            parent_fingerprint=request.fingerprint,
-            aggressive=True,
-        )
-    assert warm.served == "warm"
-    result = warm.result
-    assert result.error >= 0
-    assert int(result.error) == int(child.error_of(result.weights))
-
-
 # -- cell evaluator reuse / incremental row update ----------------------------------
 
 
@@ -208,22 +168,19 @@ def test_evaluator_update_rejects_structural_edits(problem):
 
 
 def test_engine_cell_error_bounds_with_context(problem):
+    """With session artifacts the evaluator is recorded, then reused verbatim."""
     cells = grid_cells(3, 0.5)
     with SolveEngine() as engine:
-        context = SolveContext()
-        bounds = engine.cell_error_bounds(problem, cells, context=context)
+        artifacts = SolveArtifacts()
+        bounds = engine.cell_error_bounds(problem, cells, artifacts=artifacts)
         assert bounds == CellBoundEvaluator(problem).bounds_many(cells)
-        assert context.captured.cell_evaluator is not None
-        # Second call with the captured evaluator as warm state reuses it.
-        context2 = SolveContext(
-            warm=SolveArtifacts(
-                problem_fingerprint=problem.fingerprint(),
-                cell_evaluator=context.captured.cell_evaluator,
-            )
-        )
-        bounds2 = engine.cell_error_bounds(problem, cells, context=context2)
+        evaluator = artifacts.cell_evaluator
+        assert evaluator is not None
+        assert artifacts.problem_fingerprint == problem.fingerprint()
+        # Second call on the same problem reuses the recorded evaluator.
+        bounds2 = engine.cell_error_bounds(problem, cells, artifacts=artifacts)
         assert bounds2 == bounds
-        assert context2.captured.cell_evaluator is context.captured.cell_evaluator
+        assert artifacts.cell_evaluator is evaluator
 
 
 def test_solve_chain_carries_cell_evaluator_forward(problem):

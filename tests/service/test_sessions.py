@@ -208,6 +208,32 @@ def test_resume_on_fresh_server_solves_cold_but_identically():
     run(scenario())
 
 
+def test_legacy_wire_key_is_ignored_by_resume_session():
+    """An exported session with an old ``aggressive`` flag resumes as default."""
+
+    async def chain(server, session_id, problem):
+        first = await server.submit_session(session_id)
+        second = await server.submit_session(session_id, deltas=[tighten(problem)])
+        return first, second
+
+    async def scenario():
+        problem = make_problem()
+        async with QueryServer() as server:
+            session_id = await server.open_session(problem, "symgd", FAST)
+            legacy_wire = {**server.export_session(session_id), "aggressive": True}
+            expected = await chain(server, session_id, problem)
+        async with QueryServer() as fresh:
+            resumed = await fresh.resume_session(legacy_wire)
+            got = await chain(fresh, resumed, problem)
+        assert [r.outcome.served for r in got] == ["cold", "warm"]
+        for want, have in zip(expected, got):
+            assert have.outcome.fingerprint == want.outcome.fingerprint
+            assert np.array_equal(have.result.weights, want.result.weights)
+            assert have.result.error == want.result.error
+
+    run(scenario())
+
+
 def test_session_stats_reported():
     async def scenario():
         problem = make_problem()
