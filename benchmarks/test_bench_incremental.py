@@ -13,10 +13,10 @@ session.  Assertions:
 * **parity** -- every incremental solve returns bitwise-identically what the
   cold solve of the same visited state returns (the session is an
   optimization, never a semantic fork);
-* **strictly fewer simplex iterations** -- the incremental chain performs
-  strictly fewer total LP pivots than the cold chain: composed delta
+* **strictly fewer LP iterations** -- the incremental chain performs
+  strictly fewer total LP iterations than the cold chain: composed delta
   fingerprints turn the revisited state into an exact cache hit that runs
-  zero pivots, where the cold path pays the full solve again;
+  zero LP iterations, where the cold path pays the full solve again;
 * **parent-hits recorded** -- the engine's incremental counters show both
   parent-artifact hits and the exact hit, so the fallback chain
   (exact -> parent -> cold) demonstrably engaged.
@@ -62,12 +62,12 @@ def test_incremental_chain(benchmark):
             "bitwise the cold solve's"
         )
 
-    # -- strictly fewer pivots: the revisit is an exact hit -------------------
+    # -- strictly fewer LP iterations: the revisit is an exact hit ------------
     cold_iters = sum(r.extra["lp_iterations"] for r in by_mode["cold"])
     incremental_iters = sum(r.extra["lp_iterations"] for r in by_mode["incremental"])
     assert cold_iters > 0, "the workload never reached the LP (seeding too strong)"
     assert incremental_iters < cold_iters, (
-        f"incremental chain performed {incremental_iters} simplex iterations, "
+        f"incremental chain performed {incremental_iters} LP iterations, "
         f"not strictly fewer than the cold chain's {cold_iters}"
     )
     served = [r.extra["served"] for r in by_mode["incremental"]]

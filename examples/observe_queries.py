@@ -8,7 +8,7 @@ Walks the three faces of the :mod:`repro.obs` subsystem on one live
    the unified metrics export.
 2. **Drill down** into the slowest trace: the span tree shows where the time
    went -- service intake, engine dispatch (hit/miss/dedup), executor
-   queue-wait, down to the solver's simplex iterations and B&B nodes.
+   queue-wait, down to the solver's LP iterations and B&B nodes.
 3. **Replay** the recorded workload profile (an append-only JSONL stream of
    fingerprints, gaps, and costs) against a fresh engine and confirm it
    reproduces the original hit/miss sequence -- the input the

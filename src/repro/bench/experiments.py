@@ -763,23 +763,13 @@ def experiment_fig3mno_derived(
 
 def experiment_hotpaths(
     scale: BenchmarkScale | None = None,
-    distributions: Sequence[str] = ("uniform", "correlated", "anticorrelated"),
-    warmstart_tuples: int = 120,
-    warmstart_k: int = 6,
     cells_tuples: int = 800,
     cells_max: int = 256,
     seeds_tuples: int = 120,
     num_seeds: int = 4,
 ) -> list[ExperimentRecord]:
-    """Micro-benchmarks of the three solver hot paths.
+    """Micro-benchmarks of two SYM-GD hot paths.
 
-    * ``hotpaths_warmstart`` -- the fig3jkl scalability workload (synthetic
-      data ranked by the cubic function, one problem per distribution)
-      solved by SYM-GD on the built-in simplex backend, once with the
-      branch-and-bound basis warm start disabled (cold two-phase solve per
-      node) and once enabled.  ``extra["lp_iterations"]`` carries the total
-      simplex pivots across every cell solve's B&B nodes -- the quantity the
-      bench asserts strictly shrinks under warm-starting.
     * ``hotpaths_cells`` -- the per-cell error-bound classification of a
       simplex-covering grid, scalar reference loop vs. the batched
       matrix-program classifier (``extra["cells_per_second"]``).
@@ -788,7 +778,8 @@ def experiment_hotpaths(
 
     Every leg rebuilds its problems and solver objects from scratch so no
     state (LP matrices, fingerprint memos, solver caches) leaks between the
-    timed variants.
+    timed variants.  ``scale`` is accepted for the common experiment
+    signature; both legs run at the fixed sizes given by the other arguments.
     """
     from repro.core.cells import (
         cell_error_bounds_many,
@@ -797,59 +788,7 @@ def experiment_hotpaths(
     )
     from repro.core.symgd import SymGD, default_seed_points
 
-    scale = scale or BenchmarkScale.from_environment()
     records: list[ExperimentRecord] = []
-
-    # -- warm-started branch-and-bound on the fig3jkl workload ---------------
-    def _symgd_simplex_params(warm: bool) -> dict:
-        # Uniform (simplex-center) seeding instead of the ordinal default:
-        # the microbench needs descents that actually branch, not ones whose
-        # seed already achieves error 0 and never enters the tree.
-        return {
-            "cell_size": 0.05,
-            "max_iterations": 4,
-            "seed_strategy": "uniform",
-            "solver_options": {
-                "node_limit": 80,
-                "lp_method": "simplex",
-                "verify": False,
-                "warm_start_strategy": "none",
-                "extra": {"warm_start_lp": warm},
-            },
-        }
-
-    for distribution in distributions:
-        for warm in (False, True):
-            problem = synthetic_problem(
-                distribution,
-                num_tuples=warmstart_tuples,
-                k=warmstart_k,
-                exponent=3.0,
-                seed=0,
-            )
-            start = time.perf_counter()
-            result = get_method("symgd").synthesize(
-                problem, _symgd_simplex_params(warm)
-            )
-            wall = time.perf_counter() - start
-            records.append(
-                ExperimentRecord(
-                    experiment="hotpaths_warmstart",
-                    dataset=distribution,
-                    method="symgd_bb[warm]" if warm else "symgd_bb[cold]",
-                    params={"n": warmstart_tuples, "k": warmstart_k, "warm": warm},
-                    error=float(result.error),
-                    per_tuple_error=float(result.error) / max(warmstart_k, 1),
-                    time_seconds=wall,
-                    extra={
-                        "nodes": result.nodes,
-                        "lp_iterations": int(
-                            result.diagnostics.get("lp_iterations", 0)
-                        ),
-                        "cell_solves": result.iterations,
-                    },
-                )
-            )
 
     # -- batched cell-bound classification -----------------------------------
     problem = synthetic_problem("uniform", num_tuples=cells_tuples, k=10, seed=0)
@@ -941,21 +880,23 @@ def experiment_incremental(
     * ``cold`` -- every visited state solved from scratch through the
       registry, exactly as a stateless caller would;
     * ``incremental`` -- one exact-parity session: composed fingerprints
-      dedupe the revisited state into a cache hit (zero simplex pivots) and
+      dedupe the revisited state into a cache hit (zero LP iterations) and
       every other state solves bitwise-identically to cold.
 
-    The exact solver runs on the built-in simplex backend with a weak
+    The exact solver runs on the default LP backend with a weak
     (``uniform``) warm-start strategy so every solve does real LP work --
     with the default seeding the incumbent-cutoff presolve prunes these
-    sizes at the root and there would be no iterations to compare.
-    ``extra["lp_iterations"]`` counts pivots actually performed in that leg
-    (zero for an exact cache hit), so the totals the bench asserts on are
-    work done, not work remembered.
+    sizes at the root and there would be no iterations to compare.  Only
+    the node limit bounds each solve (no wall-clock limit), so the counts
+    do not depend on host speed.  ``extra["lp_iterations"]`` counts LP
+    iterations actually performed in that leg (zero for an exact cache
+    hit), so the totals the bench asserts on are work done, not work
+    remembered.  ``scale`` is accepted for the common experiment signature
+    and not read.
     """
     from repro.api.client import RankHowClient
     from repro.scenarios.generator import mutation_delta
 
-    scale = scale or BenchmarkScale.from_environment()
     relation = generate_uniform(
         num_tuples=num_tuples, num_attributes=num_attributes, seed=seed
     )
@@ -966,9 +907,7 @@ def experiment_incremental(
     )
     options = {
         "node_limit": node_limit,
-        "time_limit": scale.rankhow_time_limit,
         "verify": False,
-        "lp_method": "simplex",
         "warm_start_strategy": "uniform",
     }
 

@@ -137,9 +137,6 @@ class RankHow:
                     indicators=int(diagnostics.get("indicators", 0)),
                     eliminated=int(diagnostics.get("eliminated", 0)),
                     lp_iterations=int(diagnostics.get("lp_iterations", 0)),
-                    warm_started_nodes=int(
-                        diagnostics.get("warm_started_nodes", 0)
-                    ),
                 )
             return result
 
@@ -191,7 +188,6 @@ class RankHow:
             # With the plain (integer-valued) objective a gap below 1 already
             # proves optimality; weighted objectives need a tight gap.
             gap_tolerance=gap_tolerance,
-            warm_start_lp=bool(options.extra.get("warm_start_lp", True)),
             node_presolve=bool(options.extra.get("node_presolve", True)),
         )
         solver = BranchAndBoundSolver(solver_options)
@@ -255,7 +251,6 @@ class RankHow:
                 "eliminated": formulation.num_eliminated_indicators,
                 "milp_objective": float(objective),
                 "lp_iterations": int(solution.lp_iterations),
-                "warm_started_nodes": int(solution.warm_started_nodes),
                 **prune_diag,
             },
         )

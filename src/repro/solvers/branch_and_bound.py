@@ -13,13 +13,10 @@ features that mirror what the paper credits modern MILP solvers for
   rounding heuristic (RankHow derives a feasible integral solution from the
   relaxation's weight vector by simply ranking the tuples), which typically
   produces near-optimal incumbents at the root node.
-* **Pseudo-cost-free reliable branching** -- branching on the most fractional
-  binary with ties broken by objective coefficient.
-* **Warm-started node LPs** -- with the built-in simplex backend the standard
-  form is prepared once (only the right-hand side changes across nodes) and
-  each child resumes from its parent's optimal basis, skipping simplex
-  phase 1 whenever the basis stays feasible after the bound change; any
-  defect falls back to the cold two-phase solve automatically.
+* **Most-fractional branching** -- branching on the binary closest to 0.5.
+* **Prepared node LPs** -- with the built-in simplex backend the standard
+  form is prepared once (only the right-hand side changes across nodes), and
+  each node LP is a cold two-phase solve against it.
 * **Per-node bound tightening** -- implied-bound propagation over the big-M
   rows plus an incumbent objective cutoff fixes additional binaries after
   each branching decision and prunes infeasible nodes before their LP solve.
@@ -64,12 +61,7 @@ class SolverOptions:
             solution to a feasible integral assignment.
         initial_incumbent: Optional feasible assignment used as the starting
             incumbent (a warm start).
-        branching: ``"most_fractional"`` or ``"pseudo_objective"``.
         search: ``"best_first"`` or ``"depth_first"``.
-        warm_start_lp: Reuse the parent node's optimal basis for the child
-            LP solve (built-in simplex backend only; phase 1 is skipped when
-            the parent basis stays feasible after the bound change, with
-            automatic fallback to the cold two-phase path).
         node_presolve: Run implied-bound tightening per node before the LP
             solve (fixes implied binaries, prunes infeasible nodes early).
     """
@@ -81,9 +73,7 @@ class SolverOptions:
     lp_method: str = "scipy"
     incumbent_callback: IncumbentCallback | None = None
     initial_incumbent: np.ndarray | None = None
-    branching: str = "most_fractional"
     search: str = "best_first"
-    warm_start_lp: bool = True
     node_presolve: bool = True
 
 
@@ -92,8 +82,6 @@ class _Node:
     priority: float
     sequence: int
     fixings: dict[int, int] = field(compare=False)
-    depth: int = field(compare=False, default=0)
-    basis: np.ndarray | None = field(compare=False, default=None)
 
 
 class BranchAndBoundSolver:
@@ -107,8 +95,8 @@ class BranchAndBoundSolver:
 
         Instrumented unconditionally: with tracing off the span call is a
         no-op contextvar read; with tracing on the search's node count, LP
-        pivots, warm-start outcomes, and final bound/gap land as span
-        attributes on ``solver.branch_and_bound``.
+        iterations, and final bound/gap land as span attributes on
+        ``solver.branch_and_bound``.
         """
         with obs_span("solver.branch_and_bound", search=self.options.search) as sp:
             solution = self._solve(model)
@@ -117,7 +105,6 @@ class BranchAndBoundSolver:
                     status=solution.status.name,
                     nodes=solution.nodes,
                     lp_iterations=solution.lp_iterations,
-                    warm_started_nodes=solution.warm_started_nodes,
                     best_bound=float(solution.best_bound),
                     gap=float(solution.gap),
                 )
@@ -132,8 +119,7 @@ class BranchAndBoundSolver:
         base_upper = relaxation.upper_bounds.copy()
 
         # Node LPs differ only in bounds: prepare the standard form once so
-        # the simplex backend skips the per-node matrix reduction and can
-        # warm-start from the parent basis.
+        # the simplex backend skips the per-node matrix reduction.
         prepared: PreparedStandardForm | None = None
         if options.lp_method == "simplex":
             try:
@@ -160,7 +146,6 @@ class BranchAndBoundSolver:
         best_bound = float("-inf")
         nodes_processed = 0
         total_lp_iterations = 0
-        warm_started_nodes = 0
         counter = itertools.count()
 
         def time_exceeded() -> bool:
@@ -179,7 +164,7 @@ class BranchAndBoundSolver:
         if options.initial_incumbent is not None:
             try_incumbent(np.asarray(options.initial_incumbent, dtype=float))
 
-        heap: list[_Node] = [_Node(float("-inf"), next(counter), {}, 0)]
+        heap: list[_Node] = [_Node(float("-inf"), next(counter), {})]
         stack: list[_Node] = list(heap)
         root_bound_known = False
 
@@ -217,8 +202,7 @@ class BranchAndBoundSolver:
             relaxation.upper_bounds = upper
 
             if prepared is not None and prepared.matches(lower, upper):
-                warm_basis = node.basis if options.warm_start_lp else None
-                lp_solution = prepared.solve(lower, upper, initial_basis=warm_basis)
+                lp_solution = prepared.solve(lower, upper)
             else:
                 lp_solution = relaxation.solve(method=options.lp_method)
             total_lp_iterations += lp_solution.iterations
@@ -231,7 +215,6 @@ class BranchAndBoundSolver:
                     float("-inf"),
                     nodes=nodes_processed,
                     lp_iterations=total_lp_iterations,
-                    warm_started_nodes=warm_started_nodes,
                 )
             if not lp_solution.is_optimal:
                 # Numerical trouble on this node; fall back to the built-in
@@ -240,10 +223,6 @@ class BranchAndBoundSolver:
                 total_lp_iterations += lp_solution.iterations
                 if not lp_solution.is_optimal:
                     continue
-            # Counted only now: a warm attempt that died at the iteration
-            # limit and was re-solved cold must not inflate the statistic.
-            if lp_solution.warm_started:
-                warm_started_nodes += 1
 
             node_bound = lp_solution.objective
             if not root_bound_known:
@@ -273,9 +252,7 @@ class BranchAndBoundSolver:
                 try_incumbent(self._snap(x, binaries))
                 continue
 
-            branch_var = self._select_branch_variable(
-                x, fractional, model, options.branching
-            )
+            branch_var = self._select_branch_variable(x, fractional)
             frac_value = x[branch_var]
             children = sorted(
                 (0, 1), key=lambda v: abs(frac_value - v)
@@ -283,13 +260,7 @@ class BranchAndBoundSolver:
             for value in children:
                 fixings = dict(node.fixings)
                 fixings[branch_var] = value
-                child = _Node(
-                    node_bound,
-                    next(counter),
-                    fixings,
-                    node.depth + 1,
-                    basis=lp_solution.basis,
-                )
+                child = _Node(node_bound, next(counter), fixings)
                 if options.search == "best_first":
                     heapq.heappush(heap, child)
                 else:
@@ -317,7 +288,6 @@ class BranchAndBoundSolver:
                 best_bound,
                 nodes_processed,
                 lp_iterations=total_lp_iterations,
-                warm_started_nodes=warm_started_nodes,
             )
 
         exhausted = not open_nodes
@@ -332,7 +302,6 @@ class BranchAndBoundSolver:
             nodes_processed,
             gap,
             lp_iterations=total_lp_iterations,
-            warm_started_nodes=warm_started_nodes,
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -351,11 +320,6 @@ class BranchAndBoundSolver:
         return snapped
 
     @staticmethod
-    def _select_branch_variable(
-        x: np.ndarray, fractional: list[int], model: MILPModel, rule: str
-    ) -> int:
-        if rule == "pseudo_objective":
-            objective = model.objective_vector()
-            return max(fractional, key=lambda i: (abs(objective[i]), -abs(x[i] - 0.5)))
-        # Most fractional: closest to 0.5.
+    def _select_branch_variable(x: np.ndarray, fractional: list[int]) -> int:
+        """The fractional binary closest to 0.5 (first index on ties)."""
         return min(fractional, key=lambda i: abs(x[i] - 0.5))

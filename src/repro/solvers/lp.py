@@ -48,10 +48,6 @@ class LPSolution:
         objective: Optimal objective value (``nan`` when not optimal).
         iterations: Backend iteration count when available.
         backend: Name of the backend that produced the solution.
-        basis: Optimal standard-form basis when the built-in simplex solved
-            the program; reusable as a warm start for a related solve.
-        warm_started: Whether the backend actually resumed from a supplied
-            warm-start basis.
     """
 
     status: LPStatus
@@ -59,15 +55,9 @@ class LPSolution:
     objective: float
     iterations: int = 0
     backend: str = ""
-    basis: np.ndarray | None = None
-    warm_started: bool = False
 
     @property
     def is_optimal(self) -> bool:
-        return self.status is LPStatus.OPTIMAL
-
-    @property
-    def is_feasible(self) -> bool:
         return self.status is LPStatus.OPTIMAL
 
 
@@ -218,28 +208,23 @@ class LinearProgram:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(
-        self, method: str = "scipy", warm_start_basis: np.ndarray | None = None
-    ) -> LPSolution:
+    def solve(self, method: str = "scipy") -> LPSolution:
         """Solve the LP.
 
         Args:
             method: ``"scipy"`` (HiGHS), ``"simplex"`` (built-in), or
                 ``"auto"`` which tries SciPy and falls back to the built-in
                 simplex when SciPy reports a numerical error.
-            warm_start_basis: Optional standard-form basis from a related
-                solve (only the built-in simplex consumes it; the SciPy
-                backend ignores it).
         """
         if method == "auto":
             solution = self._solve_scipy()
             if solution.status is LPStatus.ERROR:
-                return self._solve_simplex(warm_start_basis)
+                return self._solve_simplex()
             return solution
         if method == "scipy":
             return self._solve_scipy()
         if method == "simplex":
-            return self._solve_simplex(warm_start_basis)
+            return self._solve_simplex()
         raise ValueError(f"unknown LP method: {method!r}")
 
     def _solve_scipy(self) -> LPSolution:
@@ -283,13 +268,9 @@ class LinearProgram:
             LPStatus.ERROR, np.zeros(0), float("nan"), backend="scipy-highs"
         )
 
-    def _solve_simplex(
-        self, warm_start_basis: np.ndarray | None = None
-    ) -> LPSolution:
+    def _solve_simplex(self) -> LPSolution:
         c_std, a_std, b_std, recover = self._to_standard_form()
-        result = solve_standard_form(
-            c_std, a_std, b_std, initial_basis=warm_start_basis
-        )
+        result = solve_standard_form(c_std, a_std, b_std)
         if result.status is SimplexStatus.OPTIMAL:
             x = recover(result.x)
             return LPSolution(
@@ -298,8 +279,6 @@ class LinearProgram:
                 float(self.objective @ x),
                 iterations=result.iterations,
                 backend="simplex",
-                basis=result.basis,
-                warm_started=result.warm_started,
             )
         mapping = {
             SimplexStatus.INFEASIBLE: LPStatus.INFEASIBLE,
@@ -312,7 +291,6 @@ class LinearProgram:
             float("nan"),
             iterations=result.iterations,
             backend="simplex",
-            warm_started=result.warm_started,
         )
 
     def _to_standard_form(self):
@@ -431,8 +409,7 @@ class PreparedStandardForm:
     errors and binaries are all boxed), the standard-form constraint matrix
     and objective do not depend on the bound values at all -- only the
     right-hand side does.  This class builds the matrix once and recomputes
-    just the right-hand side per solve, and it accepts a warm-start basis
-    from a previous solve so child nodes can skip simplex phase 1 entirely.
+    just the right-hand side per solve.
 
     The column layout matches :meth:`LinearProgram._to_standard_form` for the
     all-finite-lower-bound case: one shifted column per variable, followed by
@@ -493,11 +470,10 @@ class PreparedStandardForm:
         self,
         lower: np.ndarray,
         upper: np.ndarray,
-        initial_basis: np.ndarray | None = None,
         tol: float = 1e-9,
         max_iterations: int = 20000,
     ) -> LPSolution:
-        """Solve under new bounds, optionally warm-starting from a basis."""
+        """Solve under new bounds with the cold two-phase simplex."""
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         if not self.matches(lower, upper):
@@ -511,7 +487,6 @@ class PreparedStandardForm:
             b_std,
             tol=tol,
             max_iterations=max_iterations,
-            initial_basis=initial_basis,
         )
         if result.status is SimplexStatus.OPTIMAL:
             x = result.x[: self.num_vars] + lower
@@ -521,8 +496,6 @@ class PreparedStandardForm:
                 float(self.objective @ x),
                 iterations=result.iterations,
                 backend="simplex-prepared",
-                basis=result.basis,
-                warm_started=result.warm_started,
             )
         mapping = {
             SimplexStatus.INFEASIBLE: LPStatus.INFEASIBLE,
@@ -535,5 +508,4 @@ class PreparedStandardForm:
             float("nan"),
             iterations=result.iterations,
             backend="simplex-prepared",
-            warm_started=result.warm_started,
         )

@@ -14,7 +14,7 @@ space so that branch-and-bound can treat the relaxation as an ordinary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,8 +49,6 @@ class MILPSolution:
         gap: Relative optimality gap ``(objective - best_bound) / max(1, |objective|)``.
         lp_iterations: Total LP backend iterations (simplex pivots / HiGHS
             iterations) summed over every node solve.
-        warm_started_nodes: Node LPs that actually resumed from the parent
-            basis (built-in simplex backend only).
     """
 
     status: MILPStatus
@@ -60,7 +58,6 @@ class MILPSolution:
     nodes: int = 0
     gap: float = float("inf")
     lp_iterations: int = 0
-    warm_started_nodes: int = 0
 
     @property
     def has_solution(self) -> bool:

@@ -17,16 +17,6 @@ The implementation is a classic tableau simplex with:
 * Phase 2: optimize the true objective starting from that basis.
 * Dantzig pricing by default with automatic fallback to Bland's rule after a
   configurable number of degenerate pivots, which guarantees termination.
-* Warm starts: a caller that already holds an optimal basis of a closely
-  related problem (branch-and-bound re-solves the same LP with per-node bound
-  changes) can pass it as ``initial_basis``.  When the basis is still primal
-  feasible for the new right-hand side, phase 1 is skipped entirely and
-  phase 2 resumes from it; when the bound change broke primal feasibility
-  (the normal case after branching on a basic variable) the basis is still
-  *dual* feasible and a dual-simplex repair phase restores it in a handful
-  of pivots.  Any defect (wrong length, artificial or repeated columns,
-  singular factorization, loss of dual feasibility, proven infeasibility)
-  falls back to the cold two-phase path automatically.
 
 The solver is intentionally straightforward: it is the reference backend used
 to cross-check the SciPy HiGHS backend and to keep the whole reproduction
@@ -63,18 +53,12 @@ class SimplexResult:
         x: Primal solution (zeros when not optimal).
         objective: Objective value ``c @ x`` (``nan`` when not optimal).
         iterations: Total number of pivots across both phases.
-        basis: Final basis (column index per row) when the solve ended
-            optimal; reusable as ``initial_basis`` of a related solve.
-        warm_started: Whether the solve actually ran from the supplied
-            ``initial_basis`` (``False`` when it fell back to two phases).
     """
 
     status: SimplexStatus
     x: np.ndarray
     objective: float
     iterations: int
-    basis: np.ndarray | None = None
-    warm_started: bool = False
 
     @property
     def is_optimal(self) -> bool:
@@ -155,43 +139,6 @@ def _run_simplex(
     return SimplexStatus.ITERATION_LIMIT, iterations
 
 
-def _run_dual_simplex(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    n_cols: int,
-    tol: float,
-    max_iterations: int,
-) -> tuple[SimplexStatus, int]:
-    """Restore primal feasibility of a dual-feasible tableau.
-
-    Precondition: the objective row holds non-negative reduced costs (the
-    basis was optimal before the right-hand side changed).  Returns
-    ``OPTIMAL`` once every right-hand side entry is non-negative -- because
-    reduced costs stay non-negative throughout, the tableau is then outright
-    optimal up to numerical noise.  ``INFEASIBLE`` means a row proved the
-    problem empty (negative basic value with no negative entry to pivot on).
-    """
-    iterations = 0
-    rhs_tol = 1e-9
-    while iterations < max_iterations:
-        rhs = tableau[:-1, -1]
-        row = int(np.argmin(rhs))
-        if rhs[row] >= -rhs_tol:
-            return SimplexStatus.OPTIMAL, iterations
-        row_coeffs = tableau[row, :n_cols]
-        eligible = np.where(row_coeffs < -tol)[0]
-        if eligible.size == 0:
-            return SimplexStatus.INFEASIBLE, iterations
-        reduced = tableau[-1, :n_cols]
-        ratios = reduced[eligible] / -row_coeffs[eligible]
-        best = np.min(ratios)
-        # Tie-break on the smallest column index to avoid cycling.
-        col = int(eligible[np.where(np.isclose(ratios, best, rtol=0.0, atol=tol))[0][0]])
-        _pivot(tableau, basis, row, col)
-        iterations += 1
-    return SimplexStatus.ITERATION_LIMIT, iterations
-
-
 def _extract_solution(
     tableau: np.ndarray, basis: np.ndarray, n_vars: int, tol: float
 ) -> np.ndarray:
@@ -205,91 +152,12 @@ def _extract_solution(
     return x
 
 
-def _try_warm_start(
-    c: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    max_iterations: int,
-    initial_basis: np.ndarray,
-) -> SimplexResult | None:
-    """Phase-2-only solve from a caller-supplied basis.
-
-    Returns ``None`` whenever the basis cannot be used (wrong length,
-    artificial / out-of-range / repeated columns, singular factorization,
-    loss of dual feasibility, or infeasibility claimed by the dual repair --
-    the cold path re-proves infeasibility from scratch so a numerically
-    shaky warm start can never wrongly prune a node).
-    """
-    n_rows, n_vars = a.shape
-    basis = np.asarray(initial_basis, dtype=int).ravel()
-    if basis.shape[0] != n_rows or n_rows == 0:
-        return None
-    if np.any(basis < 0) or np.any(basis >= n_vars):
-        return None
-    if np.unique(basis).shape[0] != n_rows:
-        return None
-    try:
-        body = np.linalg.solve(a[:, basis], np.concatenate([a, b[:, None]], axis=1))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(body)):
-        return None
-    tableau = np.zeros((n_rows + 1, n_vars + 1))
-    tableau[:-1, :] = body
-    tableau[-1, :n_vars] = c
-    basis = basis.copy()
-    for row in range(n_rows):
-        coeff = tableau[-1, basis[row]]
-        if coeff != 0.0:
-            tableau[-1, :] -= coeff * tableau[row, :]
-
-    iterations = 0
-    if np.any(tableau[:-1, -1] < -1e-9):
-        # The bound change broke primal feasibility (branching fixed a basic
-        # variable).  Reduced costs depend only on (A, c, basis), all
-        # unchanged since the parent's optimal solve, so the tableau is dual
-        # feasible and a dual-simplex repair applies.
-        if np.any(tableau[-1, :n_vars] < -1e-7):
-            return None  # dual feasibility lost (noise): fall back cold
-        status, iterations = _run_dual_simplex(
-            tableau, basis, n_vars, tol, max_iterations
-        )
-        if status is SimplexStatus.INFEASIBLE:
-            return None
-        if status is SimplexStatus.ITERATION_LIMIT:
-            return SimplexResult(
-                status, np.zeros(n_vars), float("nan"), iterations, warm_started=True
-            )
-    tableau[:-1, -1] = np.maximum(tableau[:-1, -1], 0.0)
-
-    allow = np.ones(n_vars, dtype=bool)
-    status, primal_iterations = _run_simplex(
-        tableau, basis, n_vars, tol, max_iterations - iterations, allow
-    )
-    iterations += primal_iterations
-    if status is not SimplexStatus.OPTIMAL:
-        return SimplexResult(
-            status, np.zeros(n_vars), float("nan"), iterations, warm_started=True
-        )
-    x = _extract_solution(tableau, basis, n_vars, tol)
-    return SimplexResult(
-        SimplexStatus.OPTIMAL,
-        x,
-        float(c @ x),
-        iterations,
-        basis=basis.copy(),
-        warm_started=True,
-    )
-
-
 def solve_standard_form(
     c: np.ndarray,
     a_eq: np.ndarray,
     b_eq: np.ndarray,
     tol: float = 1e-9,
     max_iterations: int = 20000,
-    initial_basis: np.ndarray | None = None,
 ) -> SimplexResult:
     """Solve ``min c @ x  s.t.  a_eq @ x == b_eq, x >= 0``.
 
@@ -299,9 +167,6 @@ def solve_standard_form(
         b_eq: Right-hand side, shape ``(m,)``.
         tol: Numerical tolerance used for pricing and ratio tests.
         max_iterations: Pivot budget shared across both phases.
-        initial_basis: Optional basis (one structural column index per row)
-            from a related solve; skips phase 1 when still feasible, with
-            automatic fallback to the two-phase path otherwise.
 
     Returns:
         A :class:`SimplexResult` with the solution and status.
@@ -325,13 +190,6 @@ def solve_standard_form(
             return SimplexResult(SimplexStatus.UNBOUNDED, np.zeros(n_vars), float("nan"), 0)
         x = np.zeros(n_vars)
         return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x), 0)
-
-    if initial_basis is not None:
-        # Row sign flips cancel inside the basis factorization, so the warm
-        # path works on the raw (unflipped) system.
-        warm = _try_warm_start(c, a, b, tol, max_iterations, initial_basis)
-        if warm is not None:
-            return warm
 
     # Make every right-hand side non-negative.
     a = a.copy()
@@ -395,6 +253,4 @@ def solve_standard_form(
         return SimplexResult(status, np.zeros(n_vars), float("nan"), iterations)
 
     x = _extract_solution(tableau, basis, n_vars, tol)
-    return SimplexResult(
-        SimplexStatus.OPTIMAL, x, float(c @ x), iterations, basis=basis.copy()
-    )
+    return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x), iterations)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.api.client import RankHowClient
+from repro.api.registry import get_method
 from repro.api.request import SynthesisRequest
 from repro.api.session import SynthesisSession
 from repro.core.constraints import max_weight
 from repro.core.delta import RescaleDelta, ToleranceDelta
 from repro.core.problem import RankingProblem, ToleranceSettings
-from repro.core.rankhow import RankHowOptions
+from repro.core.rankhow import RankHow, RankHowOptions
 from repro.core.ranking import Ranking
 from repro.data.relation import Relation
 
@@ -242,6 +243,43 @@ def test_rankhow_extra_is_covered_by_the_request_fingerprint(problem):
     rebuilt = SynthesisRequest.from_dict(no_warm.to_dict())
     assert rebuilt.fingerprint == no_warm.fingerprint
     assert rebuilt.effective["extra"] == {"warm_start_lp": False}
+
+
+def test_legacy_warm_start_lp_extra_still_solves(problem):
+    """Old wire forms carrying ``extra["warm_start_lp"]`` load and solve.
+
+    The key is no longer read: the solve matches the same request without
+    it, both through ``RankHowOptions.from_dict`` and through the request
+    wire format.
+    """
+    base = {
+        "node_limit": 50,
+        "verify": False,
+        "lp_method": "simplex",
+        "warm_start_strategy": "uniform",
+    }
+    legacy = {**base, "extra": {"warm_start_lp": False}}
+
+    direct = [
+        RankHow(RankHowOptions.from_dict(options)).solve(problem)
+        for options in (base, legacy)
+    ]
+    requests = [
+        SynthesisRequest.from_dict(
+            SynthesisRequest(problem, "rankhow", options).to_dict()
+        )
+        for options in (base, legacy)
+    ]
+    assert requests[1].effective["extra"] == {"warm_start_lp": False}
+    served = [
+        get_method("rankhow").synthesize_resolved(request.problem, request.effective)
+        for request in requests
+    ]
+    for plain, old in (direct, served):
+        assert plain.nodes >= 1
+        assert old.error == plain.error
+        assert old.nodes == plain.nodes
+        np.testing.assert_array_equal(old.weights, plain.weights)
 
 
 def test_symgd_nested_extra_is_covered_by_the_request_fingerprint(problem):

@@ -129,14 +129,6 @@ def test_gap_tolerance_allows_early_proof_for_integer_objectives():
     assert solution.objective == pytest.approx(-9.0)
 
 
-def test_pseudo_objective_branching_rule():
-    model = _knapsack(values=[10, 13, 7, 8], weights=[3, 4, 2, 3], capacity=6)
-    options = SolverOptions(branching="pseudo_objective")
-    solution = BranchAndBoundSolver(options).solve(model)
-    assert solution.status is MILPStatus.OPTIMAL
-    assert solution.objective == pytest.approx(-20.0)
-
-
 def test_time_limit_zero_terminates_quickly():
     model = _knapsack(values=list(range(1, 13)), weights=[1] * 12, capacity=6)
     options = SolverOptions(time_limit=0.0)

@@ -1,11 +1,8 @@
-"""Warm-started simplex / branch-and-bound: basis reuse and its fallbacks.
+"""Branch-and-bound node speed-ups on the built-in simplex backend.
 
-The warm-start contract: a reused basis may only ever make a solve cheaper,
-never change what it computes.  These tests cover the happy path (phase-1
-skip), the dual-simplex repair after a branching-style bound flip, and every
-fallback the implementation promises (invalid basis shapes, artificial or
-repeated columns, infeasible parent basis, iteration limits hit mid-warm-
-start), plus the prepared-standard-form fast path branch-and-bound drives.
+Covers the prepared standard form branch-and-bound re-solves per node (only
+the right-hand side changes with the bounds) and per-node bound tightening;
+neither may change what a solve computes.
 """
 
 from __future__ import annotations
@@ -14,95 +11,9 @@ import numpy as np
 import pytest
 
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
-from repro.solvers.lp import LinearProgram, LPStatus, PreparedStandardForm
+from repro.solvers.lp import LinearProgram, PreparedStandardForm
 from repro.solvers.milp import MILPModel
 from repro.solvers.presolve import BoundTightener
-from repro.solvers.simplex import SimplexStatus, solve_standard_form
-
-
-def _small_standard_form():
-    """min -x1 - 2*x2 s.t. x1 + x2 + s1 = 4, x1 + 3*x2 + s2 = 6, x >= 0."""
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    return c, a, b
-
-
-class TestSimplexWarmStart:
-    def test_feasible_basis_skips_phase_one(self):
-        c, a, b = _small_standard_form()
-        cold = solve_standard_form(c, a, b)
-        assert cold.is_optimal and cold.basis is not None
-        # Same problem, slightly perturbed rhs: the optimal basis stays
-        # feasible, so the warm solve needs no pivots at all.
-        warm = solve_standard_form(c, a, b * 1.01, initial_basis=cold.basis)
-        assert warm.is_optimal
-        assert warm.warm_started
-        assert warm.iterations <= cold.iterations
-        reference = solve_standard_form(c, a, b * 1.01)
-        assert warm.objective == pytest.approx(reference.objective)
-
-    def test_bound_flip_triggers_dual_repair(self):
-        # Branching-style change: force a basic variable down by shrinking a
-        # row's rhs until the parent basic solution goes primal infeasible.
-        c, a, b = _small_standard_form()
-        cold = solve_standard_form(c, a, b)
-        tightened = np.array([4.0, 1.0])
-        warm = solve_standard_form(c, a, tightened, initial_basis=cold.basis)
-        reference = solve_standard_form(c, a, tightened)
-        assert reference.is_optimal
-        assert warm.is_optimal
-        assert warm.objective == pytest.approx(reference.objective)
-
-    def test_infeasible_parent_basis_falls_back_cold(self):
-        # x1 + s = 1 with basis {s}; new rhs -1 makes the basis infeasible
-        # AND the problem infeasible -- the cold path must prove it, and the
-        # warm attempt must not claim anything else.
-        c = np.array([1.0, 0.0])
-        a = np.array([[1.0, 1.0]])
-        warm = solve_standard_form(
-            c, a, np.array([-1.0]), initial_basis=np.array([1])
-        )
-        assert warm.status is SimplexStatus.INFEASIBLE
-        assert not warm.warm_started  # the dual repair refused; cold path ran
-
-    @pytest.mark.parametrize(
-        "basis",
-        [
-            np.array([0]),  # wrong length
-            np.array([0, 9]),  # out of range
-            np.array([0, 0]),  # repeated column
-            np.array([4, 5]),  # artificial-range indices
-        ],
-    )
-    def test_defective_bases_fall_back_cold(self, basis):
-        c, a, b = _small_standard_form()
-        reference = solve_standard_form(c, a, b)
-        warm = solve_standard_form(c, a, b, initial_basis=basis)
-        assert warm.is_optimal
-        assert not warm.warm_started
-        assert warm.objective == pytest.approx(reference.objective)
-
-    def test_singular_basis_falls_back_cold(self):
-        c = np.array([1.0, 1.0, 0.0])
-        a = np.array([[1.0, 2.0, 2.0], [2.0, 4.0, 4.0]])
-        b = np.array([2.0, 4.0])
-        # Columns 1 and 2 are linearly dependent with row 2 = 2 * row 1.
-        warm = solve_standard_form(c, a, b, initial_basis=np.array([1, 2]))
-        assert not warm.warm_started
-        assert warm.status in (SimplexStatus.OPTIMAL, SimplexStatus.INFEASIBLE)
-
-    def test_iteration_limit_mid_warm_start(self):
-        c, a, b = _small_standard_form()
-        cold = solve_standard_form(c, a, b)
-        # The bound flip needs dual + primal pivots; an exhausted budget must
-        # surface as ITERATION_LIMIT from inside the warm-started solve.
-        warm = solve_standard_form(
-            c, a, np.array([4.0, 1.0]), max_iterations=1, initial_basis=cold.basis
-        )
-        assert warm.status is SimplexStatus.ITERATION_LIMIT
-        assert warm.warm_started
-        assert warm.iterations == 1
 
 
 class TestPreparedStandardForm:
@@ -124,17 +35,19 @@ class TestPreparedStandardForm:
         np.testing.assert_allclose(via_prepared.x, direct.x, atol=1e-9)
 
     def test_bound_change_with_warm_basis(self):
+        # The right-hand side is recomputed from the new bounds on every
+        # solve; the matrix prepared under the original bounds is reused.
         lp = self._boxed_lp()
         prepared = PreparedStandardForm(lp)
-        parent = prepared.solve(lp.lower_bounds, lp.upper_bounds)
+        assert prepared.solve(lp.lower_bounds, lp.upper_bounds).is_optimal
         lower = lp.lower_bounds.copy()
         upper = lp.upper_bounds.copy()
         lower[1] = upper[1] = 0.25  # fix a variable, branching-style
-        warm = prepared.solve(lower, upper, initial_basis=parent.basis)
+        child = prepared.solve(lower, upper)
         lp.set_bounds(1, lower=0.25, upper=0.25)
         reference = lp.solve(method="simplex")
-        assert warm.is_optimal
-        assert warm.objective == pytest.approx(reference.objective)
+        assert child.is_optimal
+        assert child.objective == pytest.approx(reference.objective)
 
     def test_rejects_infinite_lower_bounds(self):
         lp = LinearProgram(num_vars=2)
@@ -212,19 +125,6 @@ def _knapsack_model(seed: int = 0, items: int = 10) -> MILPModel:
 
 
 class TestBranchAndBoundWarmStart:
-    def test_warm_and_cold_agree_and_warm_pivots_less(self):
-        model = _knapsack_model(seed=3)
-        cold = BranchAndBoundSolver(
-            SolverOptions(lp_method="simplex", warm_start_lp=False, node_presolve=False)
-        ).solve(model)
-        warm = BranchAndBoundSolver(
-            SolverOptions(lp_method="simplex", warm_start_lp=True, node_presolve=False)
-        ).solve(model)
-        assert cold.status == warm.status
-        assert warm.objective == pytest.approx(cold.objective)
-        assert warm.lp_iterations <= cold.lp_iterations
-        assert warm.warm_started_nodes > 0
-
     def test_node_presolve_preserves_the_optimum(self):
         for seed in range(3):
             model = _knapsack_model(seed=seed)
@@ -236,15 +136,3 @@ class TestBranchAndBoundWarmStart:
             ).solve(model)
             assert plain.status == presolved.status
             assert presolved.objective == pytest.approx(plain.objective), seed
-
-    def test_scipy_backend_unaffected_by_warm_start_flag(self):
-        model = _knapsack_model(seed=1)
-        a = BranchAndBoundSolver(
-            SolverOptions(lp_method="scipy", warm_start_lp=True)
-        ).solve(model)
-        b = BranchAndBoundSolver(
-            SolverOptions(lp_method="scipy", warm_start_lp=False)
-        ).solve(model)
-        assert a.status == b.status
-        assert a.objective == pytest.approx(b.objective)
-        assert a.warm_started_nodes == 0
