@@ -21,7 +21,7 @@ leaks from one timed variant into the next.
 
 from __future__ import annotations
 
-from conftest import bench_scale, write_baseline
+from conftest import write_baseline
 
 from repro.bench.experiments import experiment_hotpaths
 from repro.bench.reporting import ascii_table
@@ -33,7 +33,7 @@ def _by_experiment(records, name):
 
 def test_hotpaths(benchmark):
     records = benchmark.pedantic(
-        lambda: experiment_hotpaths(scale=bench_scale()),
+        experiment_hotpaths,
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,7 @@ session.  Assertions:
 
 from __future__ import annotations
 
-from conftest import bench_scale, write_baseline
+from conftest import write_baseline
 
 from repro.bench.experiments import experiment_incremental
 from repro.bench.reporting import ascii_table
@@ -32,7 +32,7 @@ from repro.bench.reporting import ascii_table
 
 def test_incremental_chain(benchmark):
     records = benchmark.pedantic(
-        lambda: experiment_incremental(scale=bench_scale()),
+        experiment_incremental,
         rounds=1,
         iterations=1,
     )

@@ -762,7 +762,6 @@ def experiment_fig3mno_derived(
 
 
 def experiment_hotpaths(
-    scale: BenchmarkScale | None = None,
     cells_tuples: int = 800,
     cells_max: int = 256,
     seeds_tuples: int = 120,
@@ -778,8 +777,7 @@ def experiment_hotpaths(
 
     Every leg rebuilds its problems and solver objects from scratch so no
     state (LP matrices, fingerprint memos, solver caches) leaks between the
-    timed variants.  ``scale`` is accepted for the common experiment
-    signature; both legs run at the fixed sizes given by the other arguments.
+    timed variants.  Both legs run at the fixed sizes given by the arguments.
     """
     from repro.core.cells import (
         cell_error_bounds_many,
@@ -862,7 +860,6 @@ def experiment_hotpaths(
 
 
 def experiment_incremental(
-    scale: BenchmarkScale | None = None,
     num_tuples: int = 24,
     num_attributes: int = 3,
     k: int = 4,
@@ -891,8 +888,7 @@ def experiment_incremental(
     do not depend on host speed.  ``extra["lp_iterations"]`` counts LP
     iterations actually performed in that leg (zero for an exact cache
     hit), so the totals the bench asserts on are work done, not work
-    remembered.  ``scale`` is accepted for the common experiment signature
-    and not read.
+    remembered.
     """
     from repro.api.client import RankHowClient
     from repro.scenarios.generator import mutation_delta

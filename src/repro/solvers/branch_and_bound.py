@@ -217,8 +217,11 @@ class BranchAndBoundSolver:
                     lp_iterations=total_lp_iterations,
                 )
             if not lp_solution.is_optimal:
-                # Numerical trouble on this node; fall back to the built-in
-                # simplex once before giving up on the node.
+                # Numerical trouble on this node.  Another backend gets one
+                # retry on the built-in simplex; a simplex result is final,
+                # since a second cold solve would repeat the same pivots.
+                if options.lp_method == "simplex":
+                    continue
                 lp_solution = relaxation.solve(method="simplex")
                 total_lp_iterations += lp_solution.iterations
                 if not lp_solution.is_optimal:
